@@ -41,14 +41,11 @@
 //!
 //! 1. **Drain.** The home withdraws every authoritative replica of the old
 //!    regime (its own directly, remote partition owners via
-//!    [`RegimeMsg::Drain`]). Withdrawal marks the slot under its replica
-//!    mutex and removes it: an in-flight operation that already cloned the
-//!    slot acquires the mutex, sees the mark, and is answered `StaleRegime`
-//!    instead of being applied to (and acknowledged against) an orphaned
-//!    replica — the caller retries under the new regime. Mirrors of a
-//!    retiring replicated regime are dropped first ([`RegimeMsg::DropMirror`])
-//!    so no node keeps serving pre-switch reads; the lease bounds the
-//!    staleness window if a drop notification is lost to a crash.
+//!    [`RegimeMsg::Drain`]); an in-flight operation on a withdrawn slot is
+//!    answered `StaleRegime` and retries under the new regime. Mirrors of a
+//!    retiring replicated regime are then dropped
+//!    ([`RegimeMsg::DropMirror`]) so no node keeps serving pre-switch reads;
+//!    the lease bounds the staleness window if a drop is lost to a crash.
 //! 2. **Merge.** Partition states of a retiring sharded regime are
 //!    recombined with the type's [`orca_object::ShardLogic::merge_states`].
 //! 3. **Install.** The new regime's replicas are installed under
@@ -68,9 +65,14 @@
 //!
 //! Update pushes to mirrors and mirror drops are best-effort under node
 //! crashes (exactly like the primary-copy RTS's invalidation/update
-//! fan-out): a mirror that misses an update detects the sequence gap on the
-//! next update and re-syncs, and the regime lease bounds how long a node
-//! can act on a retired table. On a live network both paths are reliable.
+//! fan-out), and the regime lease bounds how long a node can act on a
+//! retired table. On a live network both paths are reliable.
+//!
+//! Regime slots, read mirrors and the mirror leases run on the shared
+//! replica core (`crates/rts/src/replica/`): the withdrawn-mark drain, the
+//! in-order mirror updates with their gap re-sync, and the grant, settle
+//! and fence rules are stated once, under "Replica core" in
+//! `docs/ARCHITECTURE.md`.
 
 pub(crate) mod messages;
 mod policy;
@@ -90,12 +92,12 @@ use orca_object::ShardRoute;
 use orca_object::{AnyReplica, AppliedOutcome, ObjectError, ObjectId, ObjectRegistry, OpKind};
 use orca_telemetry::{trace, FlightKind};
 use orca_wire::{BatchOp, BatchOutcome, DedupWindow, LeaseGrant, OpStamp, Wire};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 
-use crate::pipeline::{pending_pair, resolve_round, BatchPolicy, Pipeline, QueuedOp, RoundSlot};
-use crate::primary::LeaseCounters;
+use crate::pipeline::{resolve_round, BatchPolicy, LazyPipeline, QueuedOp, RoundSlot};
 use crate::recovery::{is_dead, recovery_rpc, RecoveryConfig};
-use crate::stats::{AccessStats, RtsStats, RtsStatsSnapshot};
+use crate::replica::{CopyCell, Grantor, LeaseCounters, ReplicaSlot, VersionedCopy};
+use crate::stats::{RtsStats, RtsStatsSnapshot};
 use crate::{PendingInvocation, RtsError, RtsKind, RuntimeSystem, ViewSnapshot};
 use messages::{table_object, RegimeKind, RegimeMsg, RegimeReply, RegimeTable};
 use policy::{pick_regime, UsageAggregate};
@@ -112,85 +114,29 @@ const MIRROR_LOCK_WAIT: Duration = Duration::from_millis(50);
 
 /// One authoritative replica (the home copy under the primary/replicated
 /// regimes, or one partition under the sharded regime) held by this node.
+/// A regime switch drains it through its [`ReplicaSlot`] withdrawn mark.
 struct Slot {
-    replica: Mutex<Box<dyn AnyReplica>>,
+    core: ReplicaSlot,
     /// Epoch of the regime this slot serves; operations stamped with any
     /// other epoch are answered `StaleRegime`.
     epoch: u64,
-    /// Set (under the replica mutex) when a regime switch has serialized
-    /// this replica's state for transfer. An operation may have cloned the
-    /// slot `Arc` before the drain removed it; without this mark it would
-    /// apply to the orphaned replica *after* the state snapshot and be
-    /// silently lost across the switch.
-    withdrawn: AtomicBool,
     /// True for the home copy of a replicated-regime object: completed
     /// writes are pushed to every mirror as sequence-numbered updates.
     push_updates: bool,
-    /// Owner-side access counters (diagnostics; decisions use the reported
-    /// per-node aggregate at the home).
-    access: AccessStats,
-    /// Recently applied stamped writes and their replies (exactly-once
-    /// across client retries; travels with the state through regime
-    /// switches and adoption). Locked strictly after — and only while
-    /// holding — the replica mutex.
-    dedup: Mutex<DedupWindow>,
-    /// Read-lease bookkeeping of a replicated-regime home copy.
-    leases: Mutex<SlotLeases>,
+    /// Read leases granted over a replicated-regime home copy. Locked only
+    /// while holding the replica mutex, or to snapshot it for a switch.
+    leases: Mutex<Grantor>,
 }
 
-/// Home-side read-lease state of one authoritative slot.
-#[derive(Default)]
-struct SlotLeases {
-    /// Conservative expiry (on the grantor's clock, twice the holder-side
-    /// validity) of the newest lease granted to each mirror node. A write
-    /// whose push cannot reach a live mirror waits out that entry before
-    /// completing.
-    grants: HashMap<u16, Instant>,
-    /// Writes may not execute before this instant. Set when this slot was
-    /// installed by home adoption: the dead home's outstanding grants are
-    /// unknown, so the first write conservatively waits out a full grant
-    /// span (reads need no fence — every valid lease covers a mirror that
-    /// already contains every acknowledged write).
-    fence: Option<Instant>,
-}
-
-/// One node's read mirror of a replicated-regime object.
-#[derive(Default)]
-struct MirrorState {
-    copy: Option<Box<dyn AnyReplica>>,
-    /// Epoch the mirror belongs to.
-    epoch: u64,
-    /// Sequence number of the last update applied to `copy`.
-    seq: u64,
-    /// Highest update sequence number *observed* for this epoch, applied
-    /// or not. A fetch that returns state older than this raced a
-    /// concurrent update and is retried instead of installed.
-    seen_seq: u64,
-    /// True between the update and unlock phases of a push; reads wait.
-    locked: bool,
-    /// Dedup window mirroring the home's, kept as fresh as `copy` by the
-    /// stamped piggyback on update pushes — what lets an adopted home
-    /// answer retries of writes the dead home already applied.
-    dedup: DedupWindow,
-    /// Read lease over `copy`, when the home grants leases. Reads serve
-    /// locally only while it is valid; a lapsed lease forces a re-sync
-    /// from the home (which doubles as the renewal).
-    lease: Option<MirrorLease>,
-}
-
-/// Holder-side record of the lease covering the local mirror.
-struct MirrorLease {
-    /// Membership epoch of this node's failure detector at receipt; a
-    /// view change invalidates the lease regardless of the clock, exactly
-    /// like the primary-copy RTS's holder-side epoch check.
-    detector_epoch: u64,
-    /// Expiry on the holder's clock (`valid_ms` from receipt).
-    expires: Instant,
-}
-
-struct Mirror {
-    state: Mutex<MirrorState>,
-    unlocked: Condvar,
+impl Slot {
+    fn new(replica: Box<dyn AnyReplica>, epoch: u64, dedup: DedupWindow, push: bool) -> Self {
+        Slot {
+            core: ReplicaSlot::new(replica, dedup),
+            epoch,
+            push_updates: push,
+            leases: Mutex::default(),
+        }
+    }
 }
 
 /// Home-node record of one object this node created.
@@ -215,8 +161,9 @@ struct Inner {
     policy: AdaptivePolicy,
     /// Authoritative replicas this node currently serves.
     slots: RwLock<HashMap<(ObjectId, u32), Arc<Slot>>>,
-    /// Read mirrors of replicated-regime objects.
-    mirrors: RwLock<HashMap<ObjectId, Arc<Mirror>>>,
+    /// Read mirrors of replicated-regime objects (the copy's era is the
+    /// regime epoch).
+    mirrors: RwLock<HashMap<ObjectId, Arc<CopyCell>>>,
     /// Authoritative tables of objects this node created.
     homes: RwLock<HashMap<ObjectId, Arc<HomeObject>>>,
     /// Leased cache of other objects' regime tables.
@@ -249,8 +196,6 @@ struct Inner {
     /// Cached `rts.lease.*` telemetry counters (shared names with the
     /// primary-copy RTS).
     lease_counters: LeaseCounters,
-    /// Batching knobs of the asynchronous path.
-    batch_policy: Arc<Mutex<BatchPolicy>>,
 }
 
 impl Inner {
@@ -289,26 +234,12 @@ impl Inner {
     }
 }
 
-/// Install a received grant as the mirror-side lease (validity counted
-/// from receipt, on the holder's own clock and detector epoch).
-fn install_mirror_lease(inner: &Inner, state: &mut MirrorState, grant: &LeaseGrant) {
-    // A grant for a different regime epoch covers a copy this mirror does
-    // not hold; never let it bless the current one.
-    if grant.epoch == state.epoch {
-        state.lease = Some(MirrorLease {
-            detector_epoch: inner.detector_epoch(),
-            expires: Instant::now() + Duration::from_millis(grant.valid_ms),
-        });
-    }
-}
-
-/// True while the mirror-side lease permits zero-message local reads.
-fn mirror_lease_valid(inner: &Inner, state: &MirrorState) -> bool {
-    match &state.lease {
-        Some(lease) => {
-            Instant::now() < lease.expires && inner.detector_epoch() == lease.detector_epoch
-        }
-        None => false,
+/// Hold a received grant as the mirror's lease, valid under this node's
+/// detector epoch at receipt. A grant for another regime epoch covers a
+/// copy this mirror does not hold and never blesses the current one.
+fn install_mirror_lease(inner: &Inner, state: &mut VersionedCopy, grant: &LeaseGrant) {
+    if grant.epoch == state.era {
+        state.hold_lease(grant.seq, inner.detector_epoch(), grant.valid_ms);
     }
 }
 
@@ -317,9 +248,8 @@ fn mirror_lease_valid(inner: &Inner, state: &MirrorState) -> bool {
 pub struct AdaptiveRts {
     inner: Arc<Inner>,
     server: Arc<Mutex<Option<RpcServer>>>,
-    /// Asynchronous-invocation pipeline, started lazily on first use and
-    /// shared by all clones of this handle.
-    pipeline: Arc<Mutex<Option<Arc<Pipeline>>>>,
+    /// Asynchronous-invocation pipeline, started on first use.
+    pipeline: LazyPipeline,
 }
 
 impl std::fmt::Debug for AdaptiveRts {
@@ -379,7 +309,6 @@ impl AdaptiveRts {
             next_async: AtomicU64::new(1),
             next_stamp: AtomicU64::new(1),
             lease_counters: LeaseCounters::from_handle(&handle),
-            batch_policy: Arc::new(Mutex::new(BatchPolicy::default())),
         });
         let service_inner = Arc::clone(&inner);
         // Spawn-per-request service: regime switches and `All` fan-outs
@@ -390,9 +319,9 @@ impl AdaptiveRts {
                 serve_request(&service_inner, body, caller)
             });
         AdaptiveRts {
+            pipeline: LazyPipeline::new(inner.node, inner.handle.telemetry()),
             inner,
             server: Arc::new(Mutex::new(Some(server))),
-            pipeline: Arc::new(Mutex::new(None)),
         }
     }
 
@@ -402,9 +331,7 @@ impl AdaptiveRts {
     /// Idempotent.
     pub fn shutdown(&self) {
         self.inner.stopped.store(true, Ordering::SeqCst);
-        if let Some(pipeline) = self.pipeline.lock().take() {
-            pipeline.shutdown();
-        }
+        self.pipeline.shutdown();
         if let Some(server) = self.server.lock().take() {
             server.shutdown();
         }
@@ -577,37 +504,7 @@ impl AdaptiveRts {
     /// Set the batching knobs of the asynchronous invocation path (takes
     /// effect from the next flusher round).
     pub fn set_batch_policy(&self, policy: BatchPolicy) {
-        *self.inner.batch_policy.lock() = policy;
-    }
-
-    /// A clone of this handle whose `pipeline` cell is fresh and empty, for
-    /// capture by the flusher and retry closures: capturing `self` directly
-    /// would create an `Arc` cycle (pipeline → closure → handle →
-    /// pipeline) and leak the runtime system.
-    fn detached(&self) -> AdaptiveRts {
-        AdaptiveRts {
-            inner: Arc::clone(&self.inner),
-            server: Arc::clone(&self.server),
-            pipeline: Arc::new(Mutex::new(None)),
-        }
-    }
-
-    /// The asynchronous-invocation pipeline, started on first use.
-    fn ensure_pipeline(&self) -> Arc<Pipeline> {
-        let mut guard = self.pipeline.lock();
-        if let Some(pipeline) = guard.as_ref() {
-            return Arc::clone(pipeline);
-        }
-        let rts = self.detached();
-        let pipeline = Arc::new(Pipeline::start(
-            format!("rts-pipe-{}", self.inner.node),
-            self.inner.node.0,
-            Arc::clone(self.inner.handle.telemetry()),
-            Arc::clone(&self.inner.batch_policy),
-            move |ops| rts.run_round(ops),
-        ));
-        *guard = Some(Arc::clone(&pipeline));
-        pipeline
+        self.pipeline.set_policy(policy);
     }
 
     /// Execute one flusher round. The adaptive system *inherits* batching
@@ -906,15 +803,15 @@ impl AdaptiveRts {
         let object = table_object(table);
         loop {
             let mirror = mirror_entry(&self.inner, object);
-            let mut state = mirror.state.lock();
-            if state.epoch != table.epoch || state.copy.is_none() {
+            let mut state = mirror.lock();
+            if state.era != table.epoch || state.copy.is_none() {
                 drop(state);
                 if !self.fetch_mirror(object, table, &mirror, deadline)? {
                     return Ok(PartOutcome::Stale);
                 }
                 continue;
             }
-            if self.inner.leases_enabled() && !mirror_lease_valid(&self.inner, &state) {
+            if self.inner.leases_enabled() && !state.lease_valid(self.inner.detector_epoch()) {
                 // The lease lapsed (idle home) or the membership view moved
                 // under it. Re-sync from the home — the fresh snapshot
                 // carries a fresh grant, so the refetch doubles as the
@@ -937,10 +834,11 @@ impl AdaptiveRts {
                 // hand back Stale so the caller's deadline check fails
                 // this invocation instead of hanging.
                 if Instant::now() >= deadline {
-                    state.copy = None;
+                    drop(state);
+                    mirror.update(|state| state.locked && state.drop_copy());
                     return Ok(PartOutcome::Stale);
                 }
-                mirror.unlocked.wait_for(&mut state, MIRROR_LOCK_WAIT);
+                mirror.wait(&mut state, MIRROR_LOCK_WAIT);
                 continue;
             }
             let copy = state.copy.as_mut().expect("checked above");
@@ -957,7 +855,7 @@ impl AdaptiveRts {
                     // then hand control back so the caller re-validates the
                     // regime (the guard's write may commit under a new one).
                     // The caller accounts the guard retry.
-                    mirror.unlocked.wait_for(&mut state, MIRROR_GUARD_WAIT);
+                    mirror.wait(&mut state, MIRROR_GUARD_WAIT);
                     return Ok(PartOutcome::Blocked);
                 }
             }
@@ -970,7 +868,7 @@ impl AdaptiveRts {
         &self,
         object: ObjectId,
         table: &RegimeTable,
-        mirror: &Mirror,
+        mirror: &CopyCell,
         deadline: Instant,
     ) -> Result<bool, RtsError> {
         let msg = RegimeMsg::FetchMirror {
@@ -986,32 +884,23 @@ impl AdaptiveRts {
                 lease,
             } => {
                 let replica = self.inner.registry.instantiate(&table.type_name, &state)?;
-                let mut guard = mirror.state.lock();
-                if guard.epoch > table.epoch {
-                    // The mirror moved on to a newer regime while this
-                    // fetch was in flight; installing the retired snapshot
-                    // would regress it. Treat the fetch as stale.
-                    return Ok(false);
-                }
-                if guard.epoch == table.epoch && guard.seen_seq > seq {
-                    // An update raced ahead of this snapshot; fetch again.
-                    return Ok(true);
-                }
-                if guard.epoch != table.epoch {
-                    guard.seen_seq = seq;
-                }
-                guard.epoch = table.epoch;
-                guard.copy = Some(replica);
-                guard.seq = seq;
-                guard.seen_seq = guard.seen_seq.max(seq);
-                guard.locked = false;
-                guard.dedup = dedup;
-                guard.lease = None;
-                if let Some(grant) = &lease {
-                    install_mirror_lease(&self.inner, &mut guard, grant);
-                }
-                RtsStats::bump(&self.inner.stats.copies_fetched);
-                Ok(true)
+                mirror.update(|state| {
+                    // A mirror that moved on to a newer regime while this
+                    // fetch was in flight must not regress: the fetch is
+                    // stale.
+                    if !state.enter_era(table.epoch) {
+                        return Ok(false);
+                    }
+                    // A snapshot an update raced ahead of is refused and
+                    // the caller fetches again.
+                    if state.install(replica, seq, dedup) {
+                        if let Some(grant) = &lease {
+                            install_mirror_lease(&self.inner, state, grant);
+                        }
+                        RtsStats::bump(&self.inner.stats.copies_fetched);
+                    }
+                    Ok(true)
+                })
             }
             RegimeReply::StaleRegime => Ok(false),
             RegimeReply::Error(msg) => Err(RtsError::Communication(msg)),
@@ -1177,15 +1066,7 @@ impl RuntimeSystem for AdaptiveRts {
         // is the cheapest regime to leave once the access mix is known.
         self.inner.slots.write().insert(
             (id, 0),
-            Arc::new(Slot {
-                replica: Mutex::new(replica),
-                epoch: 0,
-                withdrawn: AtomicBool::new(false),
-                push_updates: false,
-                access: AccessStats::default(),
-                dedup: Mutex::new(DedupWindow::new()),
-                leases: Mutex::new(SlotLeases::default()),
-            }),
+            Arc::new(Slot::new(replica, 0, DedupWindow::new(), false)),
         );
         self.inner.homes.write().insert(
             id,
@@ -1292,35 +1173,13 @@ impl RuntimeSystem for AdaptiveRts {
         // The access evidence driving regime decisions counts logical
         // invocations, exactly like the synchronous path.
         self.note_access(object, kind);
-        let pipeline = self.ensure_pipeline();
-        let trace = trace::current();
-        // A guard-blocked op re-enters this same queue from wait(), so its
-        // re-execution keeps issue order instead of jumping ahead through
-        // the synchronous path.
-        let resubmit = {
-            let pipeline = Arc::clone(&pipeline);
-            let op = op.to_vec();
-            Arc::new(move |completer| {
-                pipeline.submit(QueuedOp {
-                    object,
-                    kind,
-                    op: op.clone(),
-                    trace,
-                    submitted: Instant::now(),
-                    completer,
-                })
-            })
-        };
-        let (handle, completer) = pending_pair(resubmit);
-        pipeline.submit(QueuedOp {
-            object,
-            kind,
-            op: op.to_vec(),
-            trace,
-            submitted: Instant::now(),
-            completer,
-        });
-        handle
+        self.pipeline.submit(object, kind, op, |pipeline| {
+            let rts = AdaptiveRts {
+                pipeline,
+                ..self.clone()
+            };
+            move |ops| rts.run_round(ops)
+        })
     }
 
     fn stats(&self) -> RtsStatsSnapshot {
@@ -1501,14 +1360,7 @@ fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> RegimeReply {
         RegimeMsg::DropMirror { object, epoch } => {
             let mirror = inner.mirrors.read().get(&ObjectId(object)).cloned();
             if let Some(mirror) = mirror {
-                let mut state = mirror.state.lock();
-                if state.epoch <= epoch {
-                    state.copy = None;
-                    state.locked = false;
-                    state.lease = None;
-                    state.dedup = DedupWindow::new();
-                    mirror.unlocked.notify_all();
-                }
+                mirror.update(|state| state.era <= epoch && state.drop_copy());
             }
             RegimeReply::Ack
         }
@@ -1527,19 +1379,17 @@ fn dispatch(inner: &Arc<Inner>, msg: RegimeMsg, caller: NodeId) -> RegimeReply {
         } => {
             let mirror = inner.mirrors.read().get(&ObjectId(object)).cloned();
             if let Some(mirror) = mirror {
-                let mut state = mirror.state.lock();
-                if state.epoch == epoch && state.seq <= seq {
-                    state.locked = false;
-                    // The unlock doubles as the lease renewal: the mirror
-                    // is current again (or will re-sync on its next read
-                    // if it dropped the copy on a gap).
-                    if let Some(grant) = &lease {
-                        if state.copy.is_some() {
-                            install_mirror_lease(inner, &mut state, grant);
+                mirror.update(|state| {
+                    if state.era == epoch && state.version <= seq {
+                        state.locked = false;
+                        // The unlock doubles as the lease renewal: the
+                        // mirror is current again (or re-syncs on its next
+                        // read if it dropped the copy on a gap).
+                        if let Some(grant) = &lease {
+                            install_mirror_lease(inner, state, grant);
                         }
                     }
-                }
-                mirror.unlocked.notify_all();
+                });
             }
             RegimeReply::Ack
         }
@@ -1558,12 +1408,12 @@ fn serve_mirror_query(inner: &Arc<Inner>, object: ObjectId) -> RegimeReply {
             dedup: DedupWindow::new(),
         };
     };
-    let state = mirror.state.lock();
+    let state = mirror.lock();
     match &state.copy {
         Some(copy) => RegimeReply::MirrorReport {
             mirror: Some((
-                state.epoch,
-                state.seq,
+                state.era,
+                state.version,
                 copy.type_name().to_string(),
                 copy.state_bytes(),
             )),
@@ -1641,7 +1491,7 @@ fn adopt_object(inner: &Arc<Inner>, object: ObjectId) -> Result<Arc<HomeObject>,
         // it out, so any lease the dead home granted before crashing has
         // lapsed before an adopted-regime write can become visible.
         if let Some(slot) = inner.slots.read().get(&(object, 0)) {
-            slot.leases.lock().fence = Some(Instant::now() + inner.grant_span());
+            slot.leases.lock().arm_fence(inner.grant_span());
         }
     }
     let entry = Arc::new(HomeObject {
@@ -1736,62 +1586,34 @@ fn apply_at_slot(
     if slot.epoch != epoch {
         return RegimeReply::StaleRegime;
     }
-    let mut replica = slot.replica.lock();
-    if slot.withdrawn.load(Ordering::Relaxed) {
-        // A regime switch serialized this replica's state while we were
-        // waiting for the lock; applying now would lose the write.
-        return RegimeReply::StaleRegime;
-    }
-    let kind = match replica.op_kind(op) {
-        Ok(kind) => kind,
-        Err(err) => return RegimeReply::Error(err.to_string()),
-    };
-    if kind == OpKind::Write {
-        // Exactly-once: a retried stamped write the slot (or the state it
-        // was regenerated from) already applied is answered its recorded
-        // reply without applying again.
-        if let Some(stamp) = stamp {
-            if let Some(reply) = slot.dedup.lock().lookup(stamp) {
-                return RegimeReply::Done(reply.to_vec());
-            }
-        }
+    let executed = slot.core.execute(
+        op,
+        stamp,
         // Adoption fence: the dead home's outstanding read leases are
         // unknown, so the first writes after adoption wait out a full
-        // grant span. Held under the replica mutex — the fence must also
+        // grant span. Waited under the replica mutex — the fence must also
         // keep the home's own reads from observing the new write early,
         // and it clears within one grant span of the install.
-        let fence = slot.leases.lock().fence;
-        if let Some(fence) = fence {
-            let now = Instant::now();
-            if now < fence {
-                std::thread::sleep(fence - now);
+        || slot.leases.lock().wait_out_fence(),
+        |state, stamped| {
+            if slot.push_updates {
+                let seq = state.replica.version();
+                push_update(inner, &slot, object, epoch, seq, op, stamped);
             }
-            slot.leases.lock().fence = None;
-        }
-    }
-    match kind {
-        OpKind::Read => slot.access.record_read(),
-        OpKind::Write => slot.access.record_write(),
-    }
-    match replica.apply_encoded(op) {
-        Ok(AppliedOutcome::Done(reply)) => {
+        },
+    );
+    match executed {
+        // A regime switch serialized this replica's state while we were
+        // waiting for the lock; applying now would lose the write.
+        None => RegimeReply::StaleRegime,
+        Some(Ok(AppliedOutcome::Done(reply))) => {
             if caller != inner.node {
                 RtsStats::bump(&inner.stats.updates_applied);
             }
-            if kind == OpKind::Write {
-                let stamped = stamp.map(|stamp| (stamp, reply.clone()));
-                if let Some((stamp, reply)) = &stamped {
-                    slot.dedup.lock().record(*stamp, reply.clone());
-                }
-                if slot.push_updates {
-                    let seq = replica.version();
-                    push_update(inner, &slot, object, epoch, seq, op, stamped);
-                }
-            }
             RegimeReply::Done(reply)
         }
-        Ok(AppliedOutcome::Blocked) => RegimeReply::Blocked,
-        Err(err) => RegimeReply::Error(err.to_string()),
+        Some(Ok(AppliedOutcome::Blocked)) => RegimeReply::Blocked,
+        Some(Err(err)) => RegimeReply::Error(err.to_string()),
     }
 }
 
@@ -1862,81 +1684,29 @@ fn push_update(
         }
         if regime_rpc_raw(inner, *node, buf.clone(), deadline).is_ok() {
             if inner.leases_enabled() {
-                slot.leases
-                    .lock()
-                    .grants
-                    .insert(node.0, Instant::now() + inner.grant_span());
-                inner.lease_counters.renewals.inc();
+                let renewals = &inner.lease_counters.renewals;
+                slot.leases.lock().mint(*node, inner.grant_span(), renewals);
             }
         } else {
             failed.push(*node);
         }
     }
-    settle_failed_mirror_leases(inner, slot, &failed);
-}
-
-/// Wait out the outstanding read-lease grants of mirrors an update push
-/// could not reach, then drop them from the grant table. A dead holder's
-/// grant is dropped immediately (its node cannot answer reads); an
-/// already-expired grant is skipped silently. No-op when leases are
-/// disabled — push failures then stay best-effort, exactly the legacy
-/// behavior.
-fn settle_failed_mirror_leases(inner: &Arc<Inner>, slot: &Slot, failed: &[NodeId]) {
-    if !inner.leases_enabled() || failed.is_empty() {
-        return;
-    }
-    for node in failed {
-        let grant = slot.leases.lock().grants.remove(&node.0);
-        let Some(expires) = grant else { continue };
-        if is_dead(&inner.detector, *node) {
-            continue;
-        }
-        let now = Instant::now();
-        if now < expires {
-            std::thread::sleep(expires - now);
-            inner.lease_counters.revokes.inc();
-        }
-    }
-}
-
-/// Settle the grants a regime switch inherited from the drained home slot:
-/// a node whose `DropMirror` succeeded had its lease explicitly revoked; a
-/// live node whose drop was lost keeps serving leased reads of the retired
-/// copy until its grant runs out, so the switch sleeps that out before the
-/// new regime can accept a write.
-fn settle_switch_grants(inner: &Arc<Inner>, grants: &HashMap<u16, Instant>, dropped: &[NodeId]) {
-    if !inner.leases_enabled() || grants.is_empty() {
-        return;
-    }
-    for (&node, &expires) in grants {
-        let node = NodeId(node);
-        if dropped.contains(&node) {
-            inner.lease_counters.revokes.inc();
-            continue;
-        }
-        if is_dead(&inner.detector, node) {
-            continue;
-        }
-        let now = Instant::now();
-        if now < expires {
-            std::thread::sleep(expires - now);
-            inner.lease_counters.revokes.inc();
-        }
-    }
+    // Mirrors have no revoke message: the grant of a mirror the push could
+    // not reach is slept out before the write is acknowledged.
+    slot.leases.lock().settle(
+        &failed,
+        &inner.lease_counters.revokes,
+        |node| is_dead(&inner.detector, node),
+        |_, _, _| false,
+    );
 }
 
 /// This node's mirror entry for `object`, created empty on first use.
-fn mirror_entry(inner: &Arc<Inner>, object: ObjectId) -> Arc<Mirror> {
+fn mirror_entry(inner: &Arc<Inner>, object: ObjectId) -> Arc<CopyCell> {
     if let Some(entry) = inner.mirrors.read().get(&object) {
         return Arc::clone(entry);
     }
-    let mut mirrors = inner.mirrors.write();
-    Arc::clone(mirrors.entry(object).or_insert_with(|| {
-        Arc::new(Mirror {
-            state: Mutex::new(MirrorState::default()),
-            unlocked: Condvar::new(),
-        })
-    }))
+    Arc::clone(inner.mirrors.write().entry(object).or_default())
 }
 
 /// Apply one sequence-numbered update to the local mirror. Out-of-order
@@ -1952,53 +1722,14 @@ fn apply_update(
     op: &[u8],
     stamped: Option<(OpStamp, Vec<u8>)>,
 ) -> RegimeReply {
-    let mirror = mirror_entry(inner, object);
-    let mut state = mirror.state.lock();
-    if epoch < state.epoch {
-        return RegimeReply::Ack;
-    }
-    if epoch > state.epoch {
-        state.epoch = epoch;
-        state.copy = None;
-        state.seq = 0;
-        state.seen_seq = 0;
-        state.lease = None;
-        state.dedup = DedupWindow::new();
-    }
-    state.seen_seq = state.seen_seq.max(seq);
-    let applied_seq = state.seq;
-    if state.copy.is_some() {
-        if seq == applied_seq + 1 {
-            let outcome = state
-                .copy
-                .as_mut()
-                .expect("checked above")
-                .apply_encoded(op);
-            match outcome {
-                Ok(_) => {
-                    state.seq = seq;
-                    state.locked = true;
-                    // The window stays exactly as fresh as the copy: both
-                    // advance in the same critical section.
-                    if let Some((stamp, reply)) = stamped {
-                        state.dedup.record(stamp, reply);
-                    }
-                    RtsStats::bump(&inner.stats.updates_applied);
-                }
-                Err(_) => {
-                    state.copy = None;
-                    state.lease = None;
-                    state.dedup = DedupWindow::new();
-                }
-            }
-        } else if seq > applied_seq + 1 {
-            // Gap: an update was lost; drop the copy and re-sync on the
-            // next read.
-            state.copy = None;
-            state.lease = None;
-            state.dedup = DedupWindow::new();
+    let applied = mirror_entry(inner, object).update(|state| {
+        if !state.enter_era(epoch) {
+            return 0;
         }
-        // seq <= state.seq: duplicate, ignore.
+        state.apply_updates(seq, std::slice::from_ref(&op), stamped)
+    });
+    if applied > 0 {
+        RtsStats::bump(&inner.stats.updates_applied);
     }
     RegimeReply::Ack
 }
@@ -2018,35 +1749,18 @@ fn install_mirror(
         Ok(replica) => replica,
         Err(err) => return RegimeReply::Error(err.to_string()),
     };
-    let mirror = mirror_entry(inner, object);
-    let mut state = mirror.state.lock();
-    if epoch < state.epoch {
-        return RegimeReply::Ack;
+    // An update for this epoch that raced ahead of the snapshot leaves the
+    // copy as it is; the first read fetches a fresh one if it has none.
+    let installed = mirror_entry(inner, object).update(|state| {
+        let installed = state.enter_era(epoch) && state.install(replica, seq, dedup);
+        if let (true, Some(grant)) = (installed, &lease) {
+            install_mirror_lease(inner, state, grant);
+        }
+        installed
+    });
+    if installed {
+        RtsStats::bump(&inner.stats.copies_fetched);
     }
-    if epoch > state.epoch {
-        state.epoch = epoch;
-        state.seq = 0;
-        state.seen_seq = 0;
-        state.lease = None;
-    }
-    if state.seen_seq > seq {
-        // An update for this epoch raced ahead of the snapshot; leave the
-        // copy absent so the first read fetches a fresh one.
-        state.copy = None;
-        state.lease = None;
-        state.dedup = DedupWindow::new();
-        return RegimeReply::Ack;
-    }
-    state.copy = Some(replica);
-    state.seq = seq;
-    state.seen_seq = state.seen_seq.max(seq);
-    state.locked = false;
-    state.dedup = dedup;
-    if let Some(grant) = &lease {
-        install_mirror_lease(inner, &mut state, grant);
-    }
-    mirror.unlocked.notify_all();
-    RtsStats::bump(&inner.stats.copies_fetched);
     RegimeReply::Ack
 }
 
@@ -2073,27 +1787,21 @@ fn serve_fetch_mirror(
     if slot.epoch != epoch {
         return RegimeReply::StaleRegime;
     }
-    let replica = slot.replica.lock();
-    if slot.withdrawn.load(Ordering::Relaxed) {
+    let Some(state) = slot.core.lock_live() else {
         return RegimeReply::StaleRegime;
-    }
-    let seq = replica.version();
+    };
+    let seq = state.replica.version();
     let lease = inner.leases_enabled().then(|| {
-        // Record the conservative grant span before the reply leaves, so a
-        // write can never observe the mirror reading without a tracked
-        // grant to wait out.
-        slot.leases
-            .lock()
-            .grants
-            .insert(caller.0, Instant::now() + inner.grant_span());
-        inner.lease_counters.grants.inc();
+        // Record the grant before the reply leaves, so a write can never
+        // observe the mirror reading without a tracked grant to wait out.
+        let grants = &inner.lease_counters.grants;
+        slot.leases.lock().mint(caller, inner.grant_span(), grants);
         inner.lease_grant(object, epoch, seq)
     });
-    let dedup = slot.dedup.lock().clone();
     RegimeReply::MirrorState {
-        state: replica.state_bytes(),
+        state: state.replica.state_bytes(),
         seq,
-        dedup,
+        dedup: state.dedup.clone(),
         lease,
     }
 }
@@ -2192,17 +1900,11 @@ fn drain_local(
             _ => None,
         }
     }?;
-    // Mark the slot withdrawn in the same critical section that snapshots
-    // the state: an operation that cloned the slot out of `slots` before
-    // the removal above will acquire this mutex later, see the mark and
-    // answer StaleRegime instead of applying to the orphaned replica. The
-    // dedup window is cloned under the same lock so it pairs with exactly
-    // this snapshot.
-    let replica = slot.replica.lock();
-    slot.withdrawn.store(true, Ordering::Relaxed);
-    let dedup = slot.dedup.lock().clone();
+    // An operation that cloned the slot out of `slots` before the removal
+    // above sees the withdrawn mark and answers StaleRegime.
+    let drained = slot.core.drain();
     RtsStats::bump(&inner.stats.copies_dropped);
-    Some((replica.state_bytes(), dedup))
+    Some((drained.state, drained.dedup))
 }
 
 /// Install an authoritative slot on this node.
@@ -2220,15 +1922,7 @@ fn install_slot(
     let replica = inner.registry.instantiate(type_name, state)?;
     inner.slots.write().insert(
         (object, partition),
-        Arc::new(Slot {
-            replica: Mutex::new(replica),
-            epoch,
-            withdrawn: AtomicBool::new(false),
-            push_updates,
-            access: AccessStats::default(),
-            dedup: Mutex::new(dedup),
-            leases: Mutex::new(SlotLeases::default()),
-        }),
+        Arc::new(Slot::new(replica, epoch, dedup, push_updates)),
     );
     Ok(())
 }
@@ -2323,15 +2017,15 @@ fn switch_regime(
     // the home slot: a mirror whose DropMirror is lost below may keep
     // serving leased reads until its grant runs out, and the switch must
     // wait that out before the new regime can accept writes.
-    let old_grants: HashMap<u16, Instant> = if old.regime == RegimeKind::Replicated {
+    let mut old_grants = if old.regime == RegimeKind::Replicated {
         inner
             .slots
             .read()
             .get(&(object, 0))
-            .map(|slot| slot.leases.lock().grants.clone())
+            .map(|slot| slot.leases.lock().clone())
             .unwrap_or_default()
     } else {
-        HashMap::new()
+        Grantor::default()
     };
 
     // Phase 1: drain every authoritative replica of the old regime. Each
@@ -2397,7 +2091,13 @@ fn switch_regime(
         // node leaves its grant outstanding, and the switch sleeps it out
         // so no leased read of the retired copy can overlap a new-regime
         // write.
-        settle_switch_grants(inner, &old_grants, &dropped);
+        let holders = old_grants.holders();
+        old_grants.settle(
+            &holders,
+            &inner.lease_counters.revokes,
+            |node| is_dead(&inner.detector, node),
+            |node, _, _| dropped.contains(&node),
+        );
     }
 
     // Phase 2: merge the drained states into one whole-object state
@@ -2526,14 +2226,9 @@ fn install_new_regime(
                         lease,
                     },
                 );
-                if lease.is_some() && matches!(reply, Ok(RegimeReply::Ack)) {
-                    if let Some(slot) = &home_slot {
-                        slot.leases
-                            .lock()
-                            .grants
-                            .insert(node.0, Instant::now() + inner.grant_span());
-                    }
-                    inner.lease_counters.grants.inc();
+                if let (Some(_), Some(slot), Ok(RegimeReply::Ack)) = (lease, &home_slot, reply) {
+                    let grants = &inner.lease_counters.grants;
+                    slot.leases.lock().mint(*node, inner.grant_span(), grants);
                 }
             }
             Ok((new_epoch, target, vec![inner.node.0]))

@@ -27,11 +27,11 @@ use orca_group::{Delivered, GroupConfig, GroupMember, GroupSender, GroupStatsSna
 use orca_object::{
     AnyReplica, AppliedOutcome, ObjectDescriptor, ObjectError, ObjectId, ObjectRegistry, OpKind,
 };
-use orca_telemetry::{trace, Telemetry};
+use orca_telemetry::Telemetry;
 use orca_wire::{BatchOp, Decoder, Encoder, OpBatch, Wire, WireError, WireResult};
 use parking_lot::{Condvar, Mutex};
 
-use crate::pipeline::{pending_pair, BatchPolicy, Pipeline, QueuedOp};
+use crate::pipeline::{BatchPolicy, LazyPipeline, QueuedOp};
 use crate::stats::{RtsStats, RtsStatsSnapshot};
 use crate::{PendingInvocation, RtsError, RtsKind, RuntimeSystem};
 
@@ -205,8 +205,6 @@ struct Inner {
     /// Per-invocation deadline in milliseconds (see
     /// [`BroadcastRts::set_op_timeout`]).
     op_timeout_ms: AtomicU64,
-    /// Batching knobs of the asynchronous path.
-    batch_policy: Arc<Mutex<BatchPolicy>>,
     stats: Arc<RtsStats>,
     /// Network-wide telemetry hub, captured before the group member
     /// consumed the network handle (the handle is not stored here).
@@ -225,9 +223,8 @@ impl Inner {
 pub struct BroadcastRts {
     inner: Arc<Inner>,
     manager: Arc<Mutex<Option<JoinHandle<()>>>>,
-    /// Asynchronous-invocation pipeline, started lazily on first use and
-    /// shared by all clones of this handle.
-    pipeline: Arc<Mutex<Option<Arc<Pipeline>>>>,
+    /// Asynchronous-invocation pipeline, started on first use.
+    pipeline: LazyPipeline,
 }
 
 impl std::fmt::Debug for BroadcastRts {
@@ -275,7 +272,6 @@ impl BroadcastRts {
             next_invocation: AtomicU64::new(1),
             next_object: AtomicU64::new(1),
             op_timeout_ms: AtomicU64::new(DEFAULT_INVOCATION_TIMEOUT.as_millis() as u64),
-            batch_policy: Arc::new(Mutex::new(BatchPolicy::default())),
             stats: RtsStats::new_shared(),
             telemetry,
             stopped: AtomicBool::new(false),
@@ -286,9 +282,9 @@ impl BroadcastRts {
             .spawn(move || manager_loop(manager_inner, member))
             .expect("spawn rts manager thread");
         BroadcastRts {
+            pipeline: LazyPipeline::new(inner.node, &inner.telemetry),
             inner,
             manager: Arc::new(Mutex::new(Some(manager))),
-            pipeline: Arc::new(Mutex::new(None)),
         }
     }
 
@@ -332,9 +328,7 @@ impl BroadcastRts {
         for tx in parked_batches {
             let _ = tx.send(BatchDelivery::Withdrawn);
         }
-        if let Some(pipeline) = self.pipeline.lock().take() {
-            pipeline.shutdown();
-        }
+        self.pipeline.shutdown();
         if let Some(handle) = self.manager.lock().take() {
             let _ = handle.join();
         }
@@ -361,7 +355,7 @@ impl BroadcastRts {
     /// Set the batching knobs of the asynchronous invocation path (takes
     /// effect from the next flusher round).
     pub fn set_batch_policy(&self, policy: BatchPolicy) {
-        *self.inner.batch_policy.lock() = policy;
+        self.pipeline.set_policy(policy);
     }
 
     fn next_invocation(&self) -> (u64, crossbeam::channel::Receiver<InvocationResult>) {
@@ -448,36 +442,6 @@ impl BroadcastRts {
             Ok(result) => result,
             Err(_) => give_up(&self.inner),
         }
-    }
-
-    /// A clone of this handle whose `pipeline` cell is fresh and empty, for
-    /// capture by the flusher and retry closures: capturing `self` directly
-    /// would create an `Arc` cycle (pipeline → closure → handle →
-    /// pipeline) and leak the runtime system.
-    fn detached(&self) -> BroadcastRts {
-        BroadcastRts {
-            inner: Arc::clone(&self.inner),
-            manager: Arc::clone(&self.manager),
-            pipeline: Arc::new(Mutex::new(None)),
-        }
-    }
-
-    /// The asynchronous-invocation pipeline, started on first use.
-    fn ensure_pipeline(&self) -> Arc<Pipeline> {
-        let mut guard = self.pipeline.lock();
-        if let Some(pipeline) = guard.as_ref() {
-            return Arc::clone(pipeline);
-        }
-        let rts = self.detached();
-        let pipeline = Arc::new(Pipeline::start(
-            format!("rts-pipe-{}", self.inner.node),
-            self.inner.node.0,
-            Arc::clone(&self.inner.telemetry),
-            Arc::clone(&self.inner.batch_policy),
-            move |ops| rts.run_round(ops),
-        ));
-        *guard = Some(Arc::clone(&pipeline));
-        pipeline
     }
 
     /// Execute one flusher round: consecutive writes coalesce into one
@@ -777,35 +741,13 @@ impl RuntimeSystem for BroadcastRts {
         if kind == OpKind::Write {
             RtsStats::bump(&self.inner.stats.writes);
         }
-        let pipeline = self.ensure_pipeline();
-        let trace = trace::current();
-        // A guard-blocked op re-enters this same queue from wait(), so its
-        // re-execution keeps issue order instead of jumping ahead through
-        // the synchronous path.
-        let resubmit = {
-            let pipeline = Arc::clone(&pipeline);
-            let op = op.to_vec();
-            Arc::new(move |completer| {
-                pipeline.submit(QueuedOp {
-                    object,
-                    kind,
-                    op: op.clone(),
-                    trace,
-                    submitted: Instant::now(),
-                    completer,
-                })
-            })
-        };
-        let (handle, completer) = pending_pair(resubmit);
-        pipeline.submit(QueuedOp {
-            object,
-            kind,
-            op: op.to_vec(),
-            trace,
-            submitted: Instant::now(),
-            completer,
-        });
-        handle
+        self.pipeline.submit(object, kind, op, |pipeline| {
+            let rts = BroadcastRts {
+                pipeline,
+                ..self.clone()
+            };
+            move |ops| rts.run_round(ops)
+        })
     }
 
     fn stats(&self) -> RtsStatsSnapshot {

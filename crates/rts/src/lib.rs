@@ -68,6 +68,7 @@ pub mod broadcast_rts;
 pub mod pipeline;
 pub mod primary;
 pub mod recovery;
+mod replica;
 #[doc(hidden)]
 pub mod sabotage;
 pub mod sharded;

@@ -50,7 +50,7 @@ use orca_amoeba::rpc::{MultiRpc, RpcError};
 use orca_amoeba::{NodeId, Port};
 use orca_group::FailureDetector;
 use orca_object::{ObjectId, OpKind};
-use orca_telemetry::{FlightKind, Telemetry};
+use orca_telemetry::{trace, FlightKind, Telemetry};
 use orca_wire::{BatchOp, BatchOutcome, TraceId};
 use parking_lot::{Condvar, Mutex};
 
@@ -226,7 +226,7 @@ impl Completer {
 /// Create a linked handle/completer pair. `resubmit` re-enqueues the
 /// operation (with the completer it is handed) when a round reports its
 /// guard false, preserving issue order for the re-execution.
-pub(crate) fn pending_pair(resubmit: Arc<ResubmitFn>) -> (PendingInvocation, Completer) {
+fn pending_pair(resubmit: Arc<ResubmitFn>) -> (PendingInvocation, Completer) {
     let shared = Arc::new(FutureShared {
         state: Mutex::new(FutureState::Pending),
         done: Condvar::new(),
@@ -398,7 +398,7 @@ struct PipelineInner {
 
 /// The per-node submission queue and its flusher thread. One per runtime
 /// system instance, started lazily on the first asynchronous invocation.
-pub(crate) struct Pipeline {
+struct Pipeline {
     inner: Arc<PipelineInner>,
     flusher: Mutex<Option<JoinHandle<()>>>,
 }
@@ -408,7 +408,7 @@ impl Pipeline {
     /// it must resolve the completer of **every** operation it is handed,
     /// in issue order. `node`/`telemetry` feed the flight recorder
     /// (batch-cut events) and the queue-wait/service latency histograms.
-    pub(crate) fn start<F>(
+    fn start<F>(
         name: String,
         node: u16,
         telemetry: Arc<Telemetry>,
@@ -436,7 +436,7 @@ impl Pipeline {
     }
 
     /// Enqueue one operation for the next round.
-    pub(crate) fn submit(&self, op: QueuedOp) {
+    fn submit(&self, op: QueuedOp) {
         if self.inner.stopped.load(Ordering::SeqCst) {
             op.completer.complete(Err(RtsError::Terminated));
             return;
@@ -447,7 +447,7 @@ impl Pipeline {
 
     /// Stop the flusher, resolve everything still queued with
     /// [`RtsError::Terminated`], and join. Idempotent.
-    pub(crate) fn shutdown(&self) {
+    fn shutdown(&self) {
         self.inner.stopped.store(true, Ordering::SeqCst);
         self.inner.available.notify_all();
         if let Some(flusher) = self.flusher.lock().take() {
@@ -455,6 +455,108 @@ impl Pipeline {
         }
         for op in self.inner.queue.lock().drain(..) {
             op.completer.complete(Err(RtsError::Terminated));
+        }
+    }
+}
+
+/// A runtime-system handle's asynchronous pipeline: the flusher starts on
+/// the first asynchronous invocation and is shared, with the batching knobs
+/// it reads every round, by all clones of the handle.
+#[derive(Clone)]
+pub(crate) struct LazyPipeline {
+    cell: Arc<Mutex<Option<Arc<Pipeline>>>>,
+    policy: Arc<Mutex<BatchPolicy>>,
+    node: NodeId,
+    telemetry: Arc<Telemetry>,
+}
+
+impl LazyPipeline {
+    /// An unstarted pipeline for `node`, recording into `telemetry`.
+    pub(crate) fn new(node: NodeId, telemetry: &Arc<Telemetry>) -> Self {
+        LazyPipeline {
+            cell: Arc::default(),
+            policy: Arc::default(),
+            node,
+            telemetry: Arc::clone(telemetry),
+        }
+    }
+
+    /// Set the batching knobs (takes effect from the next flusher round).
+    pub(crate) fn set_policy(&self, policy: BatchPolicy) {
+        *self.policy.lock() = policy;
+    }
+
+    /// Submit one operation, starting the flusher on first use. `round`
+    /// builds the flusher's round executor from a fresh, empty cell; the
+    /// executor must capture a handle holding that cell rather than the
+    /// submitting handle, because capturing the handle itself would create
+    /// an `Arc` cycle (pipeline → closure → handle → pipeline) and leak the
+    /// runtime system.
+    pub(crate) fn submit<R>(
+        &self,
+        object: ObjectId,
+        kind: OpKind,
+        op: &[u8],
+        round: impl FnOnce(LazyPipeline) -> R,
+    ) -> PendingInvocation
+    where
+        R: Fn(Vec<QueuedOp>) + Send + 'static,
+    {
+        let pipeline = {
+            let mut cell = self.cell.lock();
+            match cell.as_ref() {
+                Some(pipeline) => Arc::clone(pipeline),
+                None => {
+                    let fresh = LazyPipeline {
+                        cell: Arc::default(),
+                        ..self.clone()
+                    };
+                    let pipeline = Arc::new(Pipeline::start(
+                        format!("rts-pipe-{}", self.node),
+                        self.node.0,
+                        Arc::clone(&self.telemetry),
+                        Arc::clone(&self.policy),
+                        round(fresh),
+                    ));
+                    *cell = Some(Arc::clone(&pipeline));
+                    pipeline
+                }
+            }
+        };
+        let trace = trace::current();
+        // A guard-blocked op re-enters this same queue from wait(), so its
+        // re-execution keeps issue order instead of jumping ahead through
+        // the synchronous path.
+        let resubmit = {
+            let pipeline = Arc::clone(&pipeline);
+            let op = op.to_vec();
+            Arc::new(move |completer| {
+                pipeline.submit(QueuedOp {
+                    object,
+                    kind,
+                    op: op.clone(),
+                    trace,
+                    submitted: Instant::now(),
+                    completer,
+                })
+            })
+        };
+        let (handle, completer) = pending_pair(resubmit);
+        pipeline.submit(QueuedOp {
+            object,
+            kind,
+            op: op.to_vec(),
+            trace,
+            submitted: Instant::now(),
+            completer,
+        });
+        handle
+    }
+
+    /// Stop the flusher if one was started. Idempotent.
+    pub(crate) fn shutdown(&self) {
+        if let Some(pipeline) = self.cell.lock().take() {
+            pipeline.shutdown();
         }
     }
 }

@@ -24,6 +24,11 @@
 //! fetches a copy from the primary, and when the ratio falls below a lower
 //! threshold it drops the copy again — exactly the hysteresis rule sketched
 //! in the paper.
+//!
+//! Secondary copies, their read leases and the primary's grant table run on
+//! the shared replica core (`crates/rts/src/replica/`). The copy invariant,
+//! version gating and the grant, renew, settle and fence rules are stated
+//! once, under "Replica core" in `docs/ARCHITECTURE.md`.
 
 pub mod messages;
 
@@ -38,15 +43,16 @@ use orca_amoeba::rpc::RpcServer;
 use orca_amoeba::NodeId;
 use orca_group::{FailureDetector, ViewSnapshot};
 use orca_object::{AnyReplica, AppliedOutcome, ObjectError, ObjectId, ObjectRegistry, OpKind};
-use orca_telemetry::{trace, Counter, FlightKind};
+use orca_telemetry::{trace, FlightKind};
 use orca_wire::{
     BatchOp, BatchOutcome, CopyInfo, DedupWindow, LeaseGrant, LeaseMsg, OpStamp, RecoveryMsg,
     RecoveryReply, Wire,
 };
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 
-use crate::pipeline::{pending_pair, resolve_round, BatchPolicy, Pipeline, QueuedOp, RoundSlot};
+use crate::pipeline::{resolve_round, BatchPolicy, LazyPipeline, QueuedOp, RoundSlot};
 use crate::recovery::{is_dead, recovery_rpc, RecoveryConfig};
+use crate::replica::{CopyCell, Grantor, LeaseCounters, VersionedCopy};
 use crate::stats::{AccessStats, RtsStats, RtsStatsSnapshot};
 use crate::{PendingInvocation, RtsError, RtsKind, RuntimeSystem};
 use messages::{PrimaryMsg, PrimaryReply};
@@ -130,67 +136,7 @@ struct PrimaryCore {
     /// across retries and promotion; rides copy fetches and update pushes).
     dedup: DedupWindow,
     /// Outstanding read leases granted to secondary copy holders.
-    leases: LeaseTable,
-}
-
-/// Primary-side bookkeeping of the read-lease protocol for one object.
-#[derive(Default)]
-struct LeaseTable {
-    /// Latest grant per holder, with the *conservative* expiry instant on
-    /// the grantor's clock (the holder counts `valid_ms` from receipt, so
-    /// the grantor waits out twice that span — the bounded-delivery-delay
-    /// assumption recovery's re-home wait already makes).
-    grants: HashMap<NodeId, GrantRecord>,
-    /// Grant sequence numbers, unique per object per grantor incarnation.
-    next_seq: u64,
-    /// Writes may not execute before this instant. Set when this replica
-    /// was promoted by crash recovery: the dead primary's grants are
-    /// unknown, so the first write conservatively waits out a full lease
-    /// span (reads need no fence — every valid lease covers a copy that
-    /// already contains every acknowledged write).
-    fence: Option<Instant>,
-}
-
-#[derive(Clone, Copy)]
-struct GrantRecord {
-    seq: u64,
-    expires: Instant,
-}
-
-/// Holder-side record of the lease covering the local secondary copy.
-struct HeldLease {
-    /// Sequence number of the grant (named by revocations and renewals).
-    seq: u64,
-    /// Membership epoch the grant was issued under; a holder whose own
-    /// detector has moved past it treats the lease as expired regardless of
-    /// the clock.
-    epoch: u64,
-    /// Expiry on the holder's clock (`valid_ms` from receipt).
-    expires: Instant,
-}
-
-/// Telemetry counters of the lease protocol, cached so the leased read path
-/// does not take the registry lock per read. Shared with the adaptive RTS:
-/// both backends account their leases under the same `rts.lease.*` names.
-pub(crate) struct LeaseCounters {
-    pub(crate) grants: Counter,
-    pub(crate) renewals: Counter,
-    pub(crate) revokes: Counter,
-    pub(crate) local_reads: Counter,
-}
-
-impl LeaseCounters {
-    /// Resolve (or create) the `rts.lease.*` counters of this node's
-    /// telemetry registry.
-    pub(crate) fn from_handle(handle: &NetworkHandle) -> Self {
-        let reg = handle.telemetry().registry();
-        LeaseCounters {
-            grants: reg.counter("rts.lease.grants"),
-            renewals: reg.counter("rts.lease.renewals"),
-            revokes: reg.counter("rts.lease.revokes"),
-            local_reads: reg.counter("rts.lease.local_reads"),
-        }
-    }
+    leases: Grantor,
 }
 
 /// Primary-side record of one object.
@@ -202,37 +148,11 @@ struct PrimaryObject {
     type_name: String,
 }
 
-/// Secondary-side record of one object on one node.
+/// Secondary-side record of one object on one node: the copy (see
+/// [`crate::replica::VersionedCopy`]) and this node's access counters.
 #[derive(Default)]
-struct SecondaryState {
-    /// Valid local copy, if any.
-    copy: Option<Box<dyn AnyReplica>>,
-    /// True between phase 1 (update applied) and phase 2 (unlock) of the
-    /// update protocol; local reads wait while this is set.
-    locked: bool,
-    /// Version of `copy`: the primary replica's version the state
-    /// corresponds to. Updates apply strictly in version order, so a copy
-    /// of version `v` provably contains every write up to `v` — the
-    /// property crash recovery's freshest-copy promotion relies on.
-    version: u64,
-    /// Highest update version *observed* for the object (applied or not).
-    /// A fetched snapshot older than this raced a concurrent update past
-    /// it and is discarded instead of installed — the fix for the stale
-    /// fetch/write race.
-    seen: u64,
-    /// Read lease over `copy`, when leases are enabled. Kept even after
-    /// expiry (an expired lease is the token a renewal request presents);
-    /// cleared only when the copy itself goes.
-    lease: Option<HeldLease>,
-    /// Dedup window mirroring the primary's, kept as fresh as `copy` by
-    /// the stamped piggyback on update pushes — what lets a promoted copy
-    /// answer retries of writes the dead primary already applied.
-    dedup: DedupWindow,
-}
-
 struct SecondaryObject {
-    state: Mutex<SecondaryState>,
-    unlocked: Condvar,
+    copy: CopyCell,
     access: AccessStats,
 }
 
@@ -256,8 +176,6 @@ struct Inner {
     lease_counters: LeaseCounters,
     /// Per-invocation RPC deadline in milliseconds.
     op_timeout_ms: AtomicU64,
-    /// Batching knobs of the asynchronous path.
-    batch_policy: Arc<Mutex<BatchPolicy>>,
     stats: Arc<RtsStats>,
     /// Crash-recovery knobs (see [`RecoveryConfig`]).
     recovery: RecoveryConfig,
@@ -301,9 +219,7 @@ impl Inner {
         self.detector.as_ref().map(|d| d.epoch()).unwrap_or(0)
     }
 
-    /// Conservative grantor-side span of one lease: double the holder-side
-    /// validity, covering delivery delay and clock drift to the same degree
-    /// the recovery timeline already assumes.
+    /// Grantor-side span of one lease: twice the holder-side validity.
     fn grant_span(&self) -> Duration {
         Duration::from_millis(self.replication.read_lease_ms.saturating_mul(2))
     }
@@ -312,49 +228,34 @@ impl Inner {
     fn mint_grant(
         &self,
         object: ObjectId,
-        leases: &mut LeaseTable,
+        leases: &mut Grantor,
         holder: NodeId,
         renewal: bool,
     ) -> LeaseGrant {
-        leases.next_seq += 1;
-        let seq = leases.next_seq;
-        leases.grants.insert(
-            holder,
-            GrantRecord {
-                seq,
-                expires: Instant::now() + self.grant_span(),
-            },
-        );
-        if renewal {
-            self.lease_counters.renewals.inc();
+        let counter = if renewal {
+            &self.lease_counters.renewals
         } else {
-            self.lease_counters.grants.inc();
-        }
+            &self.lease_counters.grants
+        };
         LeaseGrant {
             object: object.0,
             epoch: self.current_epoch(),
-            seq,
+            seq: leases.mint(holder, self.grant_span(), counter),
             valid_ms: self.replication.read_lease_ms,
         }
     }
-}
 
-/// True while the holder-side lease permits zero-message local reads.
-fn lease_valid(inner: &Inner, state: &SecondaryState) -> bool {
-    match &state.lease {
-        Some(lease) => Instant::now() < lease.expires && inner.current_epoch() == lease.epoch,
-        None => false,
+    /// True when `state` may serve a read locally with zero messages: leases
+    /// are off, or its lease is valid.
+    fn leased(&self, state: &VersionedCopy) -> bool {
+        !self.leases_enabled() || state.lease_valid(self.current_epoch())
     }
 }
 
-/// Install a received grant as the holder-side lease (validity counted from
-/// receipt, on the holder's own clock).
-fn install_lease(state: &mut SecondaryState, grant: &LeaseGrant) {
-    state.lease = Some(HeldLease {
-        seq: grant.seq,
-        epoch: grant.epoch,
-        expires: Instant::now() + Duration::from_millis(grant.valid_ms),
-    });
+/// Hold a received grant as the lease over the local copy. The lease is
+/// valid under the epoch the primary granted it in.
+fn install_lease(state: &mut VersionedCopy, grant: &LeaseGrant) {
+    state.hold_lease(grant.seq, grant.epoch, grant.valid_ms);
 }
 
 /// Handle to one node's primary-copy runtime system. Cheap to clone.
@@ -363,9 +264,8 @@ pub struct PrimaryCopyRts {
     inner: Arc<Inner>,
     server: Arc<Mutex<Option<RpcServer>>>,
     recovery_server: Arc<Mutex<Option<RpcServer>>>,
-    /// Asynchronous-invocation pipeline, started lazily on first use and
-    /// shared by all clones of this handle.
-    pipeline: Arc<Mutex<Option<Arc<Pipeline>>>>,
+    /// Asynchronous-invocation pipeline, started on first use.
+    pipeline: LazyPipeline,
 }
 
 impl std::fmt::Debug for PrimaryCopyRts {
@@ -426,7 +326,6 @@ impl PrimaryCopyRts {
             next_stamp: AtomicU64::new(1),
             lease_counters,
             op_timeout_ms: AtomicU64::new(DEFAULT_OP_TIMEOUT.as_millis() as u64),
-            batch_policy: Arc::new(Mutex::new(BatchPolicy::default())),
             stats: RtsStats::new_shared(),
             recovery,
             detector,
@@ -463,18 +362,16 @@ impl PrimaryCopyRts {
             }
         }
         PrimaryCopyRts {
+            pipeline: LazyPipeline::new(inner.node, inner.handle.telemetry()),
             inner,
             server: Arc::new(Mutex::new(Some(server))),
             recovery_server: Arc::new(Mutex::new(recovery_server)),
-            pipeline: Arc::new(Mutex::new(None)),
         }
     }
 
     /// Stop the RPC services of this node. Idempotent.
     pub fn shutdown(&self) {
-        if let Some(pipeline) = self.pipeline.lock().take() {
-            pipeline.shutdown();
-        }
+        self.pipeline.shutdown();
         if let Some(server) = self.server.lock().take() {
             server.shutdown();
         }
@@ -511,38 +408,7 @@ impl PrimaryCopyRts {
     /// Set the batching knobs of the asynchronous invocation path (takes
     /// effect from the next flusher round).
     pub fn set_batch_policy(&self, policy: BatchPolicy) {
-        *self.inner.batch_policy.lock() = policy;
-    }
-
-    /// A clone of this handle whose `pipeline` cell is fresh and empty, for
-    /// capture by the flusher and retry closures: capturing `self` directly
-    /// would create an `Arc` cycle (pipeline → closure → handle →
-    /// pipeline) and leak the runtime system.
-    fn detached(&self) -> PrimaryCopyRts {
-        PrimaryCopyRts {
-            inner: Arc::clone(&self.inner),
-            server: Arc::clone(&self.server),
-            recovery_server: Arc::clone(&self.recovery_server),
-            pipeline: Arc::new(Mutex::new(None)),
-        }
-    }
-
-    /// The asynchronous-invocation pipeline, started on first use.
-    fn ensure_pipeline(&self) -> Arc<Pipeline> {
-        let mut guard = self.pipeline.lock();
-        if let Some(pipeline) = guard.as_ref() {
-            return Arc::clone(pipeline);
-        }
-        let rts = self.detached();
-        let pipeline = Arc::new(Pipeline::start(
-            format!("rts-pipe-{}", self.inner.node),
-            self.inner.node.0,
-            Arc::clone(self.inner.handle.telemetry()),
-            Arc::clone(&self.inner.batch_policy),
-            move |ops| rts.run_round(ops),
-        ));
-        *guard = Some(Arc::clone(&pipeline));
-        pipeline
+        self.pipeline.set_policy(policy);
     }
 
     /// Execute one flusher round: writes coalesce into one
@@ -675,9 +541,8 @@ impl PrimaryCopyRts {
         let entry = self.secondary_entry(op.object);
         entry.access.record_read();
         {
-            let mut state = entry.state.lock();
-            let leased = !self.inner.leases_enabled() || lease_valid(&self.inner, &state);
-            if !state.locked && leased {
+            let mut state = entry.copy.lock();
+            if !state.locked && self.inner.leased(&state) {
                 if let Some(copy) = state.copy.as_mut() {
                     match copy.apply_encoded(&op.op) {
                         Ok(AppliedOutcome::Done(reply)) => {
@@ -736,7 +601,7 @@ impl PrimaryCopyRts {
         let secondaries = self.inner.secondaries.read();
         secondaries
             .get(&object)
-            .map(|entry| entry.state.lock().copy.is_some())
+            .map(|entry| entry.copy.lock().copy.is_some())
             .unwrap_or(false)
     }
 
@@ -767,13 +632,7 @@ impl PrimaryCopyRts {
             }
         }
         let mut secondaries = self.inner.secondaries.write();
-        Arc::clone(secondaries.entry(object).or_insert_with(|| {
-            Arc::new(SecondaryObject {
-                state: Mutex::new(SecondaryState::default()),
-                unlocked: Condvar::new(),
-                access: AccessStats::default(),
-            })
-        }))
+        Arc::clone(secondaries.entry(object).or_default())
     }
 
     fn invoke_at_primary_local(
@@ -929,8 +788,8 @@ impl PrimaryCopyRts {
             return false;
         }
         let request = {
-            let state = entry.state.lock();
-            if state.copy.is_none() || lease_valid(&self.inner, &state) {
+            let state = entry.copy.lock();
+            if state.copy.is_none() || state.lease_valid(self.inner.current_epoch()) {
                 return false;
             }
             let Some(lease) = &state.lease else {
@@ -948,24 +807,16 @@ impl PrimaryCopyRts {
             &PrimaryMsg::Lease(LeaseMsg::Renew(request)),
             deadline,
         ) {
-            Ok(PrimaryReply::Lease(LeaseMsg::Renew(grant))) => {
-                let mut state = entry.state.lock();
-                if state.copy.is_some() {
-                    install_lease(&mut state, &grant);
-                    return true;
-                }
-                false
-            }
+            Ok(PrimaryReply::Lease(LeaseMsg::Renew(grant))) => entry.copy.update(|state| {
+                install_lease(state, &grant);
+                state.copy.is_some()
+            }),
             Ok(_) => {
                 // Denied: the copy is (or may be) stale. Drop it and let the
                 // next access re-fetch.
-                let mut state = entry.state.lock();
-                if state.copy.take().is_some() {
+                if entry.copy.update(VersionedCopy::drop_copy) {
                     RtsStats::bump(&self.inner.stats.copies_dropped);
                 }
-                state.lease = None;
-                state.locked = false;
-                entry.unlocked.notify_all();
                 false
             }
             Err(_) => false,
@@ -1019,12 +870,10 @@ impl PrimaryCopyRts {
         entry: &SecondaryObject,
         op: &[u8],
     ) -> Result<Option<Vec<u8>>, RtsError> {
-        let mut state = entry.state.lock();
+        let mut state = entry.copy.lock();
         loop {
             while state.locked {
-                entry
-                    .unlocked
-                    .wait_for(&mut state, Duration::from_millis(100));
+                entry.copy.wait(&mut state, Duration::from_millis(100));
                 // A lock that never clears means the primary died between
                 // the update and unlock phases; once the detector confirms
                 // it, fall through to the remote path (which rides the
@@ -1039,21 +888,19 @@ impl PrimaryCopyRts {
                 // re-homing nothing ever would, so drop the copy rather
                 // than leave a permanently locked zombie behind.
                 if state.locked && is_dead(&self.inner.detector, self.inner.primary_node(object)) {
+                    drop(state);
                     if !(self.inner.recovery.enabled && self.inner.recovery.rehome) {
-                        state.copy = None;
-                        state.locked = false;
+                        entry.copy.update(|state| state.locked && state.drop_copy());
                     }
                     return Ok(None);
                 }
             }
-            if state.copy.is_some() && self.inner.leases_enabled() {
-                // Leases on: the copy alone is not permission to read. A
-                // write at the primary can complete only after renewing,
-                // revoking or waiting out this node's grant, so a valid
-                // lease proves the copy reflects every completed write.
-                if !lease_valid(&self.inner, &state) {
-                    return Ok(None);
-                }
+            // Leases on: the copy alone is not permission to read. A write
+            // at the primary can complete only after renewing, revoking or
+            // waiting out this node's grant, so a valid lease proves the
+            // copy reflects every completed write.
+            if state.copy.is_some() && !self.inner.leased(&state) {
+                return Ok(None);
             }
             let Some(copy) = state.copy.as_mut() else {
                 return Ok(None);
@@ -1070,9 +917,7 @@ impl PrimaryCopyRts {
                     // arrive via the update protocol) or fall back to a
                     // periodic retry.
                     RtsStats::bump(&self.inner.stats.guard_retries);
-                    entry
-                        .unlocked
-                        .wait_for(&mut state, Duration::from_millis(100));
+                    entry.copy.wait(&mut state, Duration::from_millis(100));
                 }
             }
         }
@@ -1120,7 +965,7 @@ impl PrimaryCopyRts {
             return Ok(());
         }
         let ratio = entry.access.read_write_ratio();
-        let has_copy = entry.state.lock().copy.is_some();
+        let has_copy = entry.copy.lock().copy.is_some();
         if !has_copy && ratio >= self.inner.replication.fetch_ratio {
             self.fetch_copy(object, primary, entry, deadline)?;
         } else if has_copy && ratio <= self.inner.replication.drop_ratio {
@@ -1146,24 +991,18 @@ impl PrimaryCopyRts {
                 dedup,
             } => {
                 let replica = self.inner.registry.instantiate(&type_name, &state)?;
-                let mut guard = entry.state.lock();
-                if guard.seen > version && !crate::sabotage::no_version_gating() {
-                    // An update overtook this snapshot in flight; holding
-                    // on to the older state would serve stale reads (and
-                    // could be promoted by recovery). Stay copyless; the
-                    // next access re-fetches.
-                    return Ok(());
+                // A snapshot an update overtook in flight is refused: the
+                // node stays copyless and the next access re-fetches.
+                let installed = entry.copy.update(|state| {
+                    let installed = state.install(replica, version, dedup);
+                    if let (true, Some(grant)) = (installed, lease) {
+                        install_lease(state, &grant);
+                    }
+                    installed
+                });
+                if installed {
+                    RtsStats::bump(&self.inner.stats.copies_fetched);
                 }
-                guard.copy = Some(replica);
-                guard.version = version;
-                guard.seen = guard.seen.max(version);
-                guard.locked = false;
-                guard.dedup = dedup;
-                guard.lease = None;
-                if let Some(grant) = lease {
-                    install_lease(&mut guard, &grant);
-                }
-                RtsStats::bump(&self.inner.stats.copies_fetched);
                 Ok(())
             }
             PrimaryReply::Error(msg) => Err(RtsError::Communication(msg)),
@@ -1180,14 +1019,13 @@ impl PrimaryCopyRts {
         entry: &SecondaryObject,
         deadline: Instant,
     ) -> Result<(), RtsError> {
-        let _ = self.rpc(primary, &PrimaryMsg::DropCopy { object }, deadline)?;
-        let mut guard = entry.state.lock();
-        guard.copy = None;
-        guard.locked = false;
-        guard.lease = None;
-        guard.dedup = DedupWindow::new();
+        // Drop the copy before deregistering: once the primary has served
+        // DropCopy it stops pushing to this node and settling its lease, so
+        // a copy still leased here would serve reads that miss every later
+        // write.
+        entry.copy.update(VersionedCopy::drop_copy);
         RtsStats::bump(&self.inner.stats.copies_dropped);
-        self.inner.stats.snapshot();
+        let _ = self.rpc(primary, &PrimaryMsg::DropCopy { object }, deadline)?;
         Ok(())
     }
 }
@@ -1211,7 +1049,7 @@ impl RuntimeSystem for PrimaryCopyRts {
                 core: Mutex::new(PrimaryCore {
                     replica,
                     dedup: DedupWindow::new(),
-                    leases: LeaseTable::default(),
+                    leases: Grantor::default(),
                 }),
                 copy_holders: Mutex::new(HashSet::new()),
                 type_name: type_name.to_string(),
@@ -1253,35 +1091,13 @@ impl RuntimeSystem for PrimaryCopyRts {
         if kind == OpKind::Write {
             RtsStats::bump(&self.inner.stats.writes);
         }
-        let pipeline = self.ensure_pipeline();
-        let trace = trace::current();
-        // A guard-blocked op re-enters this same queue from wait(), so its
-        // re-execution keeps issue order instead of jumping ahead through
-        // the synchronous path.
-        let resubmit = {
-            let pipeline = Arc::clone(&pipeline);
-            let op = op.to_vec();
-            Arc::new(move |completer| {
-                pipeline.submit(QueuedOp {
-                    object,
-                    kind,
-                    op: op.clone(),
-                    trace,
-                    submitted: Instant::now(),
-                    completer,
-                })
-            })
-        };
-        let (handle, completer) = pending_pair(resubmit);
-        pipeline.submit(QueuedOp {
-            object,
-            kind,
-            op: op.to_vec(),
-            trace,
-            submitted: Instant::now(),
-            completer,
-        });
-        handle
+        self.pipeline.submit(object, kind, op, |pipeline| {
+            let rts = PrimaryCopyRts {
+                pipeline,
+                ..self.clone()
+            };
+            move |ops| rts.run_round(ops)
+        })
     }
 
     fn stats(&self) -> RtsStatsSnapshot {
@@ -1314,151 +1130,102 @@ fn primary_read(
     object: ObjectId,
     op: &[u8],
 ) -> Result<AppliedOutcome, RtsError> {
-    let entry = {
-        let primaries = inner.primaries.read();
-        primaries
-            .get(&object)
-            .cloned()
-            .ok_or(RtsError::Object(ObjectError::NoSuchObject(object)))?
-    };
+    let entry = primary_entry(inner, object)?;
     let mut core = entry.core.lock();
     Ok(core.replica.apply_encoded(op)?)
 }
 
-/// Sleep out the promotion fence, if one is pending: the dead primary's
-/// grants are unknown to the promoted replica, so the first write waits a
-/// full conservative lease span before its effect may become visible.
-/// Reads are exempt — every lease still valid covers a copy that already
-/// contains every acknowledged write, so pre-fence reads are consistent.
-fn wait_out_fence(leases: &mut LeaseTable) {
-    if let Some(fence) = leases.fence.take() {
-        let now = Instant::now();
-        if now < fence {
-            std::thread::sleep(fence - now);
-        }
-    }
-}
-
-/// Prune lease grants that no longer need settling: expired on the
-/// grantor's conservative clock, or held by a node the failure detector has
-/// declared dead (fail-stop: a dead holder serves no reads, so its grant
-/// cannot wedge writes).
-fn prune_grants(inner: &Arc<Inner>, leases: &mut LeaseTable) {
-    let now = Instant::now();
-    leases
-        .grants
-        .retain(|holder, rec| now < rec.expires && !is_dead(&inner.detector, *holder));
-}
-
-/// Settle the leases of holders an update/invalidate push could not reach:
-/// explicit revoke bounded by the grant's own expiry, falling back to
-/// sleeping the remainder out. On return none of `failed`'s grants can
-/// still authorize a local read, so the write may complete. The failed
-/// holders are also deregistered — their copies are stale.
-fn settle_failed_leases(
+/// Run the write protocol against every live copy holder for writes already
+/// applied at the primary, with the object lock still held. `phase1` is the
+/// invalidation, or the (single or batched) update of the two-phase update
+/// protocol; it is encoded once and fanned out from one scratch buffer.
+/// Updated holders are then unlocked with a renewed lease piggybacked; a
+/// successful invalidation retires the holder's grant with its copy. The
+/// leases of holders that could not be reached are settled with an explicit
+/// revoke bounded by the grant's own expiry (waiting any longer could simply
+/// wait the grant out), and those holders are deregistered: their copies are
+/// stale.
+fn propagate(
     inner: &Arc<Inner>,
     object: ObjectId,
     entry: &PrimaryObject,
-    leases: &mut LeaseTable,
-    failed: &[NodeId],
+    leases: &mut Grantor,
+    phase1: PrimaryMsg,
 ) {
+    let dead = |node| is_dead(&inner.detector, node);
+    leases.prune(dead);
+    // Copy holders the failure detector has declared dead are dropped from
+    // the protocol (and the holder set): waiting on them would stall every
+    // write at this primary for the full push deadline, forever.
+    let holders: Vec<NodeId> = {
+        let mut holders = entry.copy_holders.lock();
+        holders.retain(|h| !dead(*h));
+        holders
+            .iter()
+            .copied()
+            .filter(|h| *h != inner.node)
+            .collect()
+    };
+    let invalidate = matches!(phase1, PrimaryMsg::Invalidate { .. });
+    let mut scratch = Vec::new();
+    phase1.encode_into(&mut scratch);
+    let mut failed: Vec<NodeId> = Vec::new();
+    let mut reached: Vec<NodeId> = Vec::new();
+    for &holder in &holders {
+        match send_to_secondary_bytes(inner, holder, scratch.clone()) {
+            Ok(_) => reached.push(holder),
+            Err(_) => failed.push(holder),
+        }
+    }
+    for holder in reached {
+        if invalidate {
+            leases.forget(holder);
+            continue;
+        }
+        let lease = inner
+            .leases_enabled()
+            .then(|| inner.mint_grant(object, leases, holder, true));
+        scratch.clear();
+        PrimaryMsg::Unlock { object, lease }.encode_into(&mut scratch);
+        if send_to_secondary_bytes(inner, holder, scratch.clone()).is_err() {
+            // The holder applied the update but never got the unlock; its
+            // fresh grant must not outlive this write unsettled.
+            failed.push(holder);
+        }
+    }
+    if invalidate {
+        entry.copy_holders.lock().clear();
+    }
     if failed.is_empty() || !inner.leases_enabled() {
         // Without leases a failed push is ignored, as before: the holder
         // keeps receiving future pushes and version gating re-syncs it.
         return;
     }
-    for holder in failed {
-        let Some(rec) = leases.grants.get(holder).copied() else {
-            continue;
-        };
-        leases.grants.remove(holder);
-        if is_dead(&inner.detector, *holder) || Instant::now() >= rec.expires {
-            continue;
-        }
-        // The revoke RPC is bounded by the grant's own expiry: waiting any
-        // longer than the lease lasts could simply wait it out instead.
-        inner.lease_counters.revokes.inc();
-        let revoke = PrimaryMsg::Lease(LeaseMsg::Revoke {
-            object: object.0,
-            seq: rec.seq,
-        });
-        if send_to_secondary_by(inner, *holder, revoke.to_bytes(), rec.expires).is_err() {
-            let now = Instant::now();
-            if now < rec.expires {
-                std::thread::sleep(rec.expires - now);
-            }
-        }
-    }
+    leases.settle(
+        &failed,
+        &inner.lease_counters.revokes,
+        dead,
+        |holder, seq, expires| {
+            let revoke = PrimaryMsg::Lease(LeaseMsg::Revoke {
+                object: object.0,
+                seq,
+            });
+            send_to_secondary_by(inner, holder, revoke.to_bytes(), expires).is_ok()
+        },
+    );
     let mut holders = entry.copy_holders.lock();
-    for holder in failed {
+    for holder in &failed {
         holders.remove(holder);
     }
 }
 
-/// Run the two-phase update protocol for one already-applied write (or run
-/// of writes): ship `phase1` to every holder, then unlock everyone with a
-/// renewed lease piggybacked, and settle the leases of holders that could
-/// not be reached. The phase-1 message is encoded once and fanned out from
-/// one scratch buffer.
-fn propagate_update(
-    inner: &Arc<Inner>,
-    object: ObjectId,
-    entry: &PrimaryObject,
-    leases: &mut LeaseTable,
-    holders: &[NodeId],
-    phase1: &PrimaryMsg,
-) {
-    let mut scratch = Vec::new();
-    phase1.encode_into(&mut scratch);
-    let mut failed: Vec<NodeId> = Vec::new();
-    for holder in holders {
-        if send_to_secondary_bytes(inner, *holder, scratch.clone()).is_err() {
-            failed.push(*holder);
-        }
-    }
-    for holder in holders {
-        if failed.contains(holder) {
-            continue;
-        }
-        let lease = inner
-            .leases_enabled()
-            .then(|| inner.mint_grant(object, leases, *holder, true));
-        let unlock = PrimaryMsg::Unlock { object, lease };
-        scratch.clear();
-        unlock.encode_into(&mut scratch);
-        if send_to_secondary_bytes(inner, *holder, scratch.clone()).is_err() {
-            // The holder applied the update but never got the unlock; its
-            // fresh grant must not outlive this write unsettled.
-            failed.push(*holder);
-        }
-    }
-    settle_failed_leases(inner, object, entry, leases, &failed);
-}
-
-/// Invalidate every holder's copy and settle the leases of unreachable
-/// holders. A successful invalidation retires the holder's grant with it.
-fn propagate_invalidate(
-    inner: &Arc<Inner>,
-    object: ObjectId,
-    entry: &PrimaryObject,
-    leases: &mut LeaseTable,
-    holders: &[NodeId],
-    version: u64,
-) {
-    let msg = PrimaryMsg::Invalidate { object, version };
-    let mut scratch = Vec::new();
-    msg.encode_into(&mut scratch);
-    let mut failed: Vec<NodeId> = Vec::new();
-    for holder in holders {
-        match send_to_secondary_bytes(inner, *holder, scratch.clone()) {
-            Ok(_) => {
-                leases.grants.remove(holder);
-            }
-            Err(_) => failed.push(*holder),
-        }
-    }
-    entry.copy_holders.lock().clear();
-    settle_failed_leases(inner, object, entry, leases, &failed);
+/// The primary record of `object` on this node.
+fn primary_entry(inner: &Inner, object: ObjectId) -> Result<Arc<PrimaryObject>, RtsError> {
+    let primaries = inner.primaries.read();
+    primaries
+        .get(&object)
+        .cloned()
+        .ok_or(RtsError::Object(ObjectError::NoSuchObject(object)))
 }
 
 /// Execute a write at the primary copy and run the configured propagation
@@ -1469,18 +1236,12 @@ fn primary_write(
     op: &[u8],
     stamp: Option<OpStamp>,
 ) -> Result<AppliedOutcome, RtsError> {
-    let entry = {
-        let primaries = inner.primaries.read();
-        primaries
-            .get(&object)
-            .cloned()
-            .ok_or(RtsError::Object(ObjectError::NoSuchObject(object)))?
-    };
+    let entry = primary_entry(inner, object)?;
     // The primary core's mutex is the object lock: it stays held for the
     // entire protocol so no reads or competing writes observe partial state.
     let mut core = entry.core.lock();
     let core = &mut *core;
-    wait_out_fence(&mut core.leases);
+    core.leases.wait_out_fence();
     if let Some(stamp) = stamp {
         if let Some(reply) = core.dedup.lookup(stamp) {
             // A retry of a write this replica (or the replica it was
@@ -1497,33 +1258,16 @@ fn primary_write(
         core.dedup.record(stamp, reply.clone());
     }
     let version = core.replica.version();
-    prune_grants(inner, &mut core.leases);
-    // Copy holders the failure detector has declared dead are dropped from
-    // the protocol (and the holder set): waiting on them would stall every
-    // write at this primary for the full push deadline, forever.
-    let holders: Vec<NodeId> = {
-        let mut holders = entry.copy_holders.lock();
-        holders.retain(|h| !is_dead(&inner.detector, *h));
-        holders
-            .iter()
-            .copied()
-            .filter(|h| *h != inner.node)
-            .collect()
+    let phase1 = match inner.write_policy {
+        WritePolicy::Invalidate => PrimaryMsg::Invalidate { object, version },
+        WritePolicy::Update => PrimaryMsg::UpdateOp {
+            object,
+            op: op.to_vec(),
+            version,
+            stamped: stamp.map(|s| (s, reply.clone())),
+        },
     };
-    match inner.write_policy {
-        WritePolicy::Invalidate => {
-            propagate_invalidate(inner, object, &entry, &mut core.leases, &holders, version);
-        }
-        WritePolicy::Update => {
-            let phase1 = PrimaryMsg::UpdateOp {
-                object,
-                op: op.to_vec(),
-                version,
-                stamped: stamp.map(|s| (s, reply.clone())),
-            };
-            propagate_update(inner, object, &entry, &mut core.leases, &holders, &phase1);
-        }
-    }
+    propagate(inner, object, &entry, &mut core.leases, phase1);
     Ok(AppliedOutcome::Done(reply))
 }
 
@@ -1534,24 +1278,20 @@ fn primary_write(
 /// update/unlock pair per write — the per-secondary coalescing of the
 /// pipelined path.
 fn primary_write_many(inner: &Arc<Inner>, object: ObjectId, ops: &[&[u8]]) -> Vec<BatchOutcome> {
-    let entry = {
-        let primaries = inner.primaries.read();
-        match primaries.get(&object).cloned() {
-            Some(entry) => entry,
-            None => {
-                let msg = format!("no such object {object}");
-                return ops
-                    .iter()
-                    .map(|_| BatchOutcome::Failed(msg.clone()))
-                    .collect();
-            }
+    let entry = match primary_entry(inner, object) {
+        Ok(entry) => entry,
+        Err(err) => {
+            return ops
+                .iter()
+                .map(|_| BatchOutcome::Failed(err.to_string()))
+                .collect()
         }
     };
     // The primary core's mutex is the object lock: held for the entire run
     // and its propagation, exactly like a single write's protocol.
     let mut core = entry.core.lock();
     let core = &mut *core;
-    wait_out_fence(&mut core.leases);
+    core.leases.wait_out_fence();
     let mut outcomes = Vec::with_capacity(ops.len());
     let mut applied: Vec<Vec<u8>> = Vec::new();
     let mut first_version = 0;
@@ -1580,30 +1320,18 @@ fn primary_write_many(inner: &Arc<Inner>, object: ObjectId, ops: &[&[u8]]) -> Ve
         }
     }
     if !applied.is_empty() {
-        prune_grants(inner, &mut core.leases);
-        let holders: Vec<NodeId> = {
-            let mut holders = entry.copy_holders.lock();
-            holders.retain(|h| !is_dead(&inner.detector, *h));
-            holders
-                .iter()
-                .copied()
-                .filter(|h| *h != inner.node)
-                .collect()
+        let phase1 = match inner.write_policy {
+            WritePolicy::Invalidate => PrimaryMsg::Invalidate {
+                object,
+                version: core.replica.version(),
+            },
+            WritePolicy::Update => PrimaryMsg::UpdateBatch {
+                object,
+                ops: applied,
+                first_version,
+            },
         };
-        match inner.write_policy {
-            WritePolicy::Invalidate => {
-                let version = core.replica.version();
-                propagate_invalidate(inner, object, &entry, &mut core.leases, &holders, version);
-            }
-            WritePolicy::Update => {
-                let update = PrimaryMsg::UpdateBatch {
-                    object,
-                    ops: applied,
-                    first_version,
-                };
-                propagate_update(inner, object, &entry, &mut core.leases, &holders, &update);
-            }
-        }
+        propagate(inner, object, &entry, &mut core.leases, phase1);
     }
     outcomes
 }
@@ -1712,7 +1440,7 @@ fn dispatch(inner: &Arc<Inner>, msg: PrimaryMsg, caller: NodeId) -> PrimaryReply
         PrimaryMsg::DropCopy { object } => {
             let primaries = inner.primaries.read();
             if let Some(entry) = primaries.get(&object) {
-                entry.core.lock().leases.grants.remove(&caller);
+                entry.core.lock().leases.forget(caller);
                 entry.copy_holders.lock().remove(&caller);
             }
             PrimaryReply::Ack
@@ -1720,18 +1448,9 @@ fn dispatch(inner: &Arc<Inner>, msg: PrimaryMsg, caller: NodeId) -> PrimaryReply
         PrimaryMsg::Invalidate { object, version } => {
             let secondaries = inner.secondaries.read();
             if let Some(entry) = secondaries.get(&object) {
-                let mut state = entry.state.lock();
-                // Record the version floor even when no copy is installed
-                // yet: an invalidation that overtakes the fetch reply it
-                // races must still poison that older snapshot, or the late
-                // install would serve stale reads forever (the primary has
-                // already deregistered this holder).
-                state.seen = state.seen.max(version);
-                state.copy = None;
-                state.locked = false;
-                state.lease = None;
-                state.dedup = DedupWindow::new();
-                entry.unlocked.notify_all();
+                // The version floor poisons a fetch reply this invalidation
+                // overtook (the primary has already deregistered us).
+                entry.copy.update(|state| state.invalidate(version));
                 RtsStats::bump(&inner.stats.invalidations_received);
             }
             PrimaryReply::Ack
@@ -1744,43 +1463,11 @@ fn dispatch(inner: &Arc<Inner>, msg: PrimaryMsg, caller: NodeId) -> PrimaryReply
         } => {
             let secondaries = inner.secondaries.read();
             if let Some(entry) = secondaries.get(&object) {
-                let mut state = entry.state.lock();
-                state.seen = state.seen.max(version);
-                if state.copy.is_some() {
-                    if version == state.version + 1 || crate::sabotage::no_version_gating() {
-                        match state
-                            .copy
-                            .as_mut()
-                            .expect("checked above")
-                            .apply_encoded(&op)
-                        {
-                            Ok(_) => {
-                                state.version = version;
-                                state.locked = true;
-                                if let Some((stamp, reply)) = stamped {
-                                    // Keep the window as fresh as the copy:
-                                    // if this copy is promoted, it answers
-                                    // retries of this write from here.
-                                    state.dedup.record(stamp, reply);
-                                }
-                                RtsStats::bump(&inner.stats.updates_applied);
-                            }
-                            Err(_) => {
-                                // A copy we cannot update is discarded; the
-                                // next access will fetch a fresh one.
-                                state.copy = None;
-                                state.locked = false;
-                                state.lease = None;
-                            }
-                        }
-                    } else if version > state.version + 1 {
-                        // Gap: an update went missing; drop the copy and
-                        // re-sync on the next access rather than diverge.
-                        state.copy = None;
-                        state.locked = false;
-                        state.lease = None;
-                    }
-                    // version <= state.version: duplicate push, ignore.
+                let applied = entry.copy.update(|state| {
+                    state.apply_updates(version, std::slice::from_ref(&op), stamped)
+                });
+                if applied > 0 {
+                    RtsStats::bump(&inner.stats.updates_applied);
                 }
             }
             PrimaryReply::Ack
@@ -1788,18 +1475,14 @@ fn dispatch(inner: &Arc<Inner>, msg: PrimaryMsg, caller: NodeId) -> PrimaryReply
         PrimaryMsg::Unlock { object, lease } => {
             let secondaries = inner.secondaries.read();
             if let Some(entry) = secondaries.get(&object) {
-                let mut state = entry.state.lock();
-                state.locked = false;
-                if let Some(grant) = lease {
+                entry.copy.update(|state| {
+                    state.locked = false;
                     // Renewal piggyback: the copy is current again as of
-                    // this unlock. Install only over a live copy — a grant
-                    // for a copy that was dropped mid-protocol must not
-                    // authorize anything.
-                    if state.copy.is_some() {
-                        install_lease(&mut state, &grant);
+                    // this unlock.
+                    if let Some(grant) = lease {
+                        install_lease(state, &grant);
                     }
-                }
-                entry.unlocked.notify_all();
+                });
             }
             PrimaryReply::Ack
         }
@@ -1810,13 +1493,9 @@ fn dispatch(inner: &Arc<Inner>, msg: PrimaryMsg, caller: NodeId) -> PrimaryReply
             let id = ObjectId(object);
             let secondaries = inner.secondaries.read();
             if let Some(entry) = secondaries.get(&id) {
-                let mut state = entry.state.lock();
-                state.lease = None;
-                if state.copy.take().is_some() {
+                if entry.copy.update(VersionedCopy::drop_copy) {
                     RtsStats::bump(&inner.stats.copies_dropped);
                 }
-                state.locked = false;
-                entry.unlocked.notify_all();
             }
             PrimaryReply::Lease(LeaseMsg::RevokeAck { object, seq })
         }
@@ -1834,12 +1513,12 @@ fn dispatch(inner: &Arc<Inner>, msg: PrimaryMsg, caller: NodeId) -> PrimaryReply
             drop(primaries);
             let mut core = entry.core.lock();
             let registered = entry.copy_holders.lock().contains(&caller);
-            let current = core.leases.grants.get(&caller).map(|rec| rec.seq) == Some(request.seq);
+            let current = core.leases.current(caller) == Some(request.seq);
             if inner.leases_enabled() && registered && current {
                 let grant = inner.mint_grant(id, &mut core.leases, caller, true);
                 PrimaryReply::Lease(LeaseMsg::Renew(grant))
             } else {
-                core.leases.grants.remove(&caller);
+                core.leases.forget(caller);
                 entry.copy_holders.lock().remove(&caller);
                 PrimaryReply::Lease(LeaseMsg::Revoke {
                     object: request.object,
@@ -1885,53 +1564,17 @@ fn dispatch(inner: &Arc<Inner>, msg: PrimaryMsg, caller: NodeId) -> PrimaryReply
             ops,
             first_version,
         } => {
-            if ops.is_empty() {
-                return PrimaryReply::Ack;
-            }
-            let last_version = first_version + ops.len() as u64 - 1;
             let secondaries = inner.secondaries.read();
             if let Some(entry) = secondaries.get(&object) {
-                let mut state = entry.state.lock();
-                state.seen = state.seen.max(last_version);
-                if state.copy.is_some() {
-                    if first_version > state.version + 1 {
-                        // Gap before the run: an earlier update went
-                        // missing; drop the copy and re-sync on the next
-                        // access rather than diverge.
-                        state.copy = None;
-                        state.locked = false;
-                        state.lease = None;
-                    } else if last_version > state.version {
-                        // Apply exactly the unseen suffix, in order (the
-                        // prefix up to `state.version` is a duplicate).
-                        let start = (state.version + 1 - first_version) as usize;
-                        RtsStats::bump(&inner.stats.updates_applied);
-                        for op in &ops[start..] {
-                            match state
-                                .copy
-                                .as_mut()
-                                .expect("checked above")
-                                .apply_encoded(op)
-                            {
-                                Ok(_) => {
-                                    state.version += 1;
-                                    RtsStats::bump(&inner.stats.batch_ops_applied);
-                                }
-                                Err(_) => {
-                                    // A copy we cannot update is discarded;
-                                    // the next access fetches a fresh one.
-                                    state.copy = None;
-                                    state.locked = false;
-                                    state.lease = None;
-                                    break;
-                                }
-                            }
-                        }
-                        if state.copy.is_some() {
-                            state.locked = true;
-                        }
-                    }
-                    // last_version <= state.version: whole run duplicate.
+                let applied = entry
+                    .copy
+                    .update(|state| state.apply_updates(first_version, &ops, None));
+                if applied > 0 {
+                    RtsStats::bump(&inner.stats.updates_applied);
+                    inner
+                        .stats
+                        .batch_ops_applied
+                        .fetch_add(applied as u64, Ordering::Relaxed);
                 }
             }
             PrimaryReply::Ack
@@ -1991,7 +1634,7 @@ fn local_copy_report(inner: &Arc<Inner>, dead: &[NodeId]) -> Vec<CopyInfo> {
         .iter()
         .filter(|(object, _)| dead.contains(&inner.primary_node(**object)))
         .filter_map(|(object, entry)| {
-            let state = entry.state.lock();
+            let state = entry.copy.lock();
             state.copy.as_ref().map(|_| CopyInfo {
                 object: object.0,
                 // The update-version of the copy (primary-era absolute),
@@ -2010,16 +1653,13 @@ fn promote_local(inner: &Arc<Inner>, object: ObjectId) -> RecoveryReply {
     let Some(entry) = entry else {
         return RecoveryReply::Error(format!("no copy of {object}"));
     };
-    let (copy, dedup) = {
-        let mut state = entry.state.lock();
-        state.locked = false;
-        state.version = 0;
-        state.seen = 0;
-        state.lease = None;
-        // The dedup window travelled with the copy: as the new primary we
-        // must still answer retries of writes the dead primary acked.
-        (state.copy.take(), std::mem::take(&mut state.dedup))
-    };
+    // The dedup window travelled with the copy: as the new primary we must
+    // still answer retries of writes the dead primary acked.
+    let (copy, dedup) = entry.copy.update(|state| {
+        let taken = (state.copy.take(), std::mem::take(&mut state.dedup));
+        state.reset(0);
+        taken
+    });
     let Some(copy) = copy else {
         return RecoveryReply::Error(format!("no copy of {object}"));
     };
@@ -2028,19 +1668,15 @@ fn promote_local(inner: &Arc<Inner>, object: ObjectId) -> RecoveryReply {
     // have not observed the view change. Reads here are safe immediately
     // (every acked write reached every leased copy), but writes must wait
     // out the longest grant the dead primary could have issued.
-    let fence = inner
-        .leases_enabled()
-        .then(|| Instant::now() + inner.grant_span());
+    let mut leases = Grantor::default();
+    leases.arm_fence(inner.grant_span());
     inner.primaries.write().insert(
         object,
         Arc::new(PrimaryObject {
             core: Mutex::new(PrimaryCore {
                 replica: copy,
                 dedup,
-                leases: LeaseTable {
-                    fence,
-                    ..LeaseTable::default()
-                },
+                leases,
             }),
             copy_holders: Mutex::new(HashSet::new()),
             type_name,
@@ -2062,14 +1698,7 @@ fn apply_rehome(inner: &Arc<Inner>, object: ObjectId, new_home: NodeId, lost: bo
         // next access re-fetches. The version counters reset with it —
         // the new primary starts a fresh version era.
         if let Some(entry) = inner.secondaries.read().get(&object) {
-            let mut state = entry.state.lock();
-            state.copy = None;
-            state.locked = false;
-            state.version = 0;
-            state.seen = 0;
-            state.lease = None;
-            state.dedup = DedupWindow::new();
-            entry.unlocked.notify_all();
+            entry.copy.update(|state| state.reset(0));
         }
     }
 }
@@ -2842,6 +2471,89 @@ mod tests {
             "write must wait out grants issued by the dead primary"
         );
         assert_eq!(read(&rtses[1], id), 6);
+        for rts in &rtses {
+            rts.shutdown();
+        }
+    }
+
+    /// A dropped copy serves no leased read once the primary has
+    /// deregistered it: from then on writes neither push to the holder nor
+    /// settle its lease. The scheduler seam holds the `DropCopy` reply, a
+    /// write completes at the primary, and only then does the holder read.
+    #[test]
+    fn dropped_copy_serves_no_leased_read_after_deregistration() {
+        use orca_amoeba::sched::EPHEMERAL_LANE;
+        use orca_amoeba::{MsgId, SchedulerConfig};
+        let net = Network::reliable(2);
+        let replication = ReplicationPolicy {
+            fetch_ratio: 1.0,
+            drop_ratio: 0.5,
+            window: 4,
+            read_lease_ms: 60_000,
+            ..ReplicationPolicy::default()
+        };
+        let rtses = start_all(&net, WritePolicy::Update, replication);
+        let id = rtses[0]
+            .create_object(Accumulator::TYPE_NAME, &0i64.to_bytes())
+            .unwrap();
+        for _ in 0..4 {
+            assert_eq!(read(&rtses[1], id), 0);
+        }
+        assert!(
+            rtses[1].has_local_copy(id),
+            "four reads fetch a leased copy"
+        );
+        for n in 1..=4 {
+            assert_eq!(add(&rtses[0], id, 1), n);
+        }
+        // Three writes from the holder; the fourth closes the window at a
+        // read/write ratio of 0, which drops the copy.
+        for _ in 0..3 {
+            assert_eq!(add(&rtses[1], id, 0), 4);
+        }
+        assert!(rtses[1].has_local_copy(id));
+
+        net.set_scheduler(Some(SchedulerConfig {
+            passthrough_ports: Vec::new(),
+        }));
+        let holder = rtses[1].clone();
+        let dropper = std::thread::spawn(move || add(&holder, id, 0));
+        // Primary → holder replies: the WriteAt reply, then DropCopy's.
+        let drop_reply = MsgId {
+            src: NodeId(0),
+            dst: NodeId(1),
+            lane: EPHEMERAL_LANE,
+            seq: 1,
+        };
+        let release_all_but_drop_reply = || {
+            let mut held = false;
+            for msg in net.sched_pending() {
+                if msg.id == drop_reply {
+                    held = true;
+                } else {
+                    net.sched_release(msg.id);
+                }
+            }
+            held
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !release_all_but_drop_reply() {
+            assert!(Instant::now() < deadline, "DropCopy was never served");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(rtses[0].copy_holders(id).is_empty(), "holder deregistered");
+        assert_eq!(add(&rtses[0], id, 1), 5, "no holder left to push to");
+        let reader = rtses[1].clone();
+        let reading = std::thread::spawn(move || read(&reader, id));
+        while !reading.is_finished() {
+            assert!(Instant::now() < deadline, "the read never completed");
+            release_all_but_drop_reply();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let seen = reading.join().unwrap();
+        net.set_scheduler(None);
+        assert_eq!(dropper.join().unwrap(), 4);
+        assert_eq!(seen, 5, "a read after a completed write must observe it");
         for rts in &rtses {
             rts.shutdown();
         }

@@ -9,12 +9,14 @@
 //!
 //! Each sabotage re-introduces a real bug class:
 //!
-//! * [`NO_VERSION_GATING`] — the primary-copy secondary protocol stops
-//!   checking update versions: a stale `FetchCopy` snapshot is installed
-//!   even when a newer update overtook it in flight, and pushed updates
-//!   are applied regardless of gaps. This is the pre-fix behavior of the
-//!   fetch/update race (a permanently stale secondary serving local
-//!   reads).
+//! * [`NO_VERSION_GATING`] — the shared versioned copy
+//!   (`crates/rts/src/replica/`) stops checking update versions: a stale
+//!   snapshot is installed even when a newer update (or an invalidation)
+//!   overtook it in flight, and pushed updates are applied regardless of
+//!   gaps. This is the pre-fix behavior of the fetch/update race (a
+//!   permanently stale copy serving local reads). Because the copy is
+//!   shared, the switch governs the primary-copy RTS's secondary copies
+//!   and the adaptive RTS's read mirrors alike.
 //! * [`REHOME_KEEPS_STALE_COPIES`] — after a crash, survivors that are
 //!   not the new home keep their secondary copies instead of dropping
 //!   them; such a copy is frozen at the moment of the crash and serves
@@ -22,8 +24,9 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Disable version gating in the secondary-copy protocol (stale fetch
-/// snapshots install, gapped updates apply).
+/// Disable version gating in the versioned-copy protocol of primary-copy
+/// secondaries and adaptive mirrors (stale snapshots install, gapped
+/// updates apply).
 pub static NO_VERSION_GATING: AtomicBool = AtomicBool::new(false);
 
 /// Survivors keep (instead of drop) their stale secondary copies when an

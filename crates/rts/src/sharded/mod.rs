@@ -28,7 +28,8 @@
 //!   single "partition" at their home node and behave like primary-copy
 //!   objects without secondary copies, so the full object-type surface
 //!   keeps working.
-//! * **Migration.** Owners track per-partition [`AccessStats`]; a hot
+//! * **Migration.** Owners track per-partition
+//!   [`AccessStats`](crate::stats::AccessStats); a hot
 //!   partition can be handed to another owner ([`ShardedRts::migrate`],
 //!   [`ShardedRts::rebalance`]) — the home node coordinates the hand-off,
 //!   bumps the table version, and stale caches recover via
@@ -58,9 +59,10 @@ use orca_telemetry::{trace, FlightKind};
 use orca_wire::{BatchOp, BatchOutcome, DedupWindow, OpStamp, Wire};
 use parking_lot::{Mutex, RwLock};
 
-use crate::pipeline::{pending_pair, resolve_round, BatchPolicy, Pipeline, QueuedOp, RoundSlot};
+use crate::pipeline::{resolve_round, BatchPolicy, LazyPipeline, QueuedOp, RoundSlot};
 use crate::recovery::{is_dead, recovery_rpc, RecoveryConfig};
-use crate::stats::{AccessStats, RtsStats, RtsStatsSnapshot};
+use crate::replica::{ReplicaSlot, SlotState};
+use crate::stats::{RtsStats, RtsStatsSnapshot};
 use crate::{PendingInvocation, RtsError, RtsKind, RuntimeSystem};
 use messages::{part, part_object, ShardMsg, ShardPartId, ShardReply, ShardRouteTable};
 use routing::RouteCache;
@@ -138,51 +140,28 @@ const DEAD_OWNER_RETRY_DELAY: Duration = Duration::from_millis(20);
 /// worker across a nested RPC, and the pool leaves headroom for that.
 const SERVICE_POOL_WORKERS: usize = 4;
 
-/// One partition replica held by its owner node.
+/// One partition replica held by its owner node. A hand-off drains it
+/// through its [`ReplicaSlot`] withdrawn mark.
 struct PartitionSlot {
-    replica: Mutex<Box<dyn AnyReplica>>,
-    /// Set (under the replica mutex) when a hand-off has serialized this
-    /// replica's state for transfer. An operation may have cloned the slot
-    /// `Arc` out of `owned` before the hand-off removed it; without this
-    /// flag such an operation would apply to the orphaned replica *after*
-    /// the state snapshot, be acknowledged `Done`, and silently miss the
-    /// new owner — a lost write. Readers check it after acquiring the
-    /// replica mutex and answer `StaleRoute` instead.
-    withdrawn: AtomicBool,
+    core: ReplicaSlot,
     /// Completed-write count the partition had accumulated *before* this
     /// replica instance was installed (migrations and promotions reset the
     /// replica-internal counter). The partition's cumulative version —
     /// what recovery compares — is `version_base + replica.version()`.
     version_base: u64,
-    access: AccessStats,
-    /// Replies of recently applied stamped writes, keyed per origin.
-    /// Locked strictly *after* (and only while holding) the replica mutex,
-    /// and travelling with the partition state across migrations,
-    /// hand-offs, backups and promotions.
-    dedup: Mutex<DedupWindow>,
 }
 
 impl PartitionSlot {
-    fn new(replica: Box<dyn AnyReplica>) -> Arc<Self> {
-        Self::with_base(replica, 0)
-    }
-
-    fn with_base(replica: Box<dyn AnyReplica>, version_base: u64) -> Arc<Self> {
-        Self::with_parts(replica, version_base, DedupWindow::new())
-    }
-
-    fn with_parts(
-        replica: Box<dyn AnyReplica>,
-        version_base: u64,
-        dedup: DedupWindow,
-    ) -> Arc<Self> {
+    fn new(replica: Box<dyn AnyReplica>, version_base: u64, dedup: DedupWindow) -> Arc<Self> {
         Arc::new(PartitionSlot {
-            replica: Mutex::new(replica),
-            withdrawn: AtomicBool::new(false),
+            core: ReplicaSlot::new(replica, dedup),
             version_base,
-            access: AccessStats::default(),
-            dedup: Mutex::new(dedup),
         })
+    }
+
+    /// Cumulative partition version of `state`, this slot's locked state.
+    fn version(&self, state: &SlotState) -> u64 {
+        self.version_base + state.replica.version()
     }
 }
 
@@ -190,12 +169,10 @@ impl PartitionSlot {
 /// completed write here before acknowledging it, so a single owner failure
 /// loses no acknowledged write.
 struct BackupSlot {
-    replica: Mutex<Box<dyn AnyReplica>>,
+    /// Replica and dedup window, kept exactly as current as each other.
+    state: Mutex<SlotState>,
     /// Cumulative partition version of the backup state.
     version: AtomicU64,
-    /// Dedup window, kept exactly as current as the backup replica (locked
-    /// only while holding the replica mutex).
-    dedup: Mutex<DedupWindow>,
 }
 
 /// Outcome of one attempt to execute an operation on one partition.
@@ -254,8 +231,6 @@ struct Inner {
     /// Ids for batched asynchronous operations (wire-level only; replies
     /// are matched by batch order).
     next_async: AtomicU64,
-    /// Batching knobs of the asynchronous path.
-    batch_policy: Arc<Mutex<BatchPolicy>>,
     /// Set by [`ShardedRts::shutdown`]; the asynchronous round executor's
     /// stale-retry loop observes it so `Pipeline::shutdown`'s join stays
     /// prompt instead of riding out the full round deadline.
@@ -274,9 +249,8 @@ pub struct ShardedRts {
     inner: Arc<Inner>,
     server: Arc<Mutex<Option<RpcServer>>>,
     backup_server: Arc<Mutex<Option<RpcServer>>>,
-    /// Asynchronous-invocation pipeline, started lazily on first use and
-    /// shared by all clones of this handle.
-    pipeline: Arc<Mutex<Option<Arc<Pipeline>>>>,
+    /// Asynchronous-invocation pipeline, started on first use.
+    pipeline: LazyPipeline,
 }
 
 impl std::fmt::Debug for ShardedRts {
@@ -327,7 +301,6 @@ impl ShardedRts {
             lost: RwLock::new(HashSet::new()),
             adoption: Mutex::new(()),
             next_async: AtomicU64::new(1),
-            batch_policy: Arc::new(Mutex::new(BatchPolicy::default())),
             stopped: AtomicBool::new(false),
         });
         let service_inner = Arc::clone(&inner);
@@ -368,19 +341,17 @@ impl ShardedRts {
             }
         }
         ShardedRts {
+            pipeline: LazyPipeline::new(inner.node, inner.handle.telemetry()),
             inner,
             server: Arc::new(Mutex::new(Some(server))),
             backup_server: Arc::new(Mutex::new(backup_server)),
-            pipeline: Arc::new(Mutex::new(None)),
         }
     }
 
     /// Stop the RPC services of this node. Idempotent.
     pub fn shutdown(&self) {
         self.inner.stopped.store(true, Ordering::SeqCst);
-        if let Some(pipeline) = self.pipeline.lock().take() {
-            pipeline.shutdown();
-        }
+        self.pipeline.shutdown();
         if let Some(server) = self.server.lock().take() {
             server.shutdown();
         }
@@ -428,7 +399,7 @@ impl ShardedRts {
             .read()
             .iter()
             .filter(|((obj, _), _)| *obj == object)
-            .map(|((_, p), slot)| (*p, slot.access.total()))
+            .map(|((_, p), slot)| (*p, slot.core.access.total()))
             .collect();
         totals.sort_unstable();
         totals
@@ -597,71 +568,36 @@ impl ShardedRts {
         table: &ShardRouteTable,
         partition: u32,
         op: &[u8],
-        kind: OpKind,
         stamp: Option<OpStamp>,
         deadline: Instant,
     ) -> Result<PartOutcome, RtsError> {
         let owner = NodeId(table.owners[partition as usize]);
         let object = ObjectId(table.object);
         if owner == self.inner.node {
-            let slot = self.inner.owned.read().get(&(object, partition)).cloned();
-            let Some(slot) = slot else {
-                // We believed we own this partition but it has migrated
-                // away; the caller re-fetches the route.
-                return Ok(PartOutcome::Stale);
+            // `None`: the partition migrated away, or a hand-off withdrew
+            // it while we waited for its lock; the caller re-fetches the
+            // route.
+            return match execute_local(&self.inner, object, partition, op, stamp) {
+                None => Ok(PartOutcome::Stale),
+                Some(Ok(AppliedOutcome::Done(reply))) => Ok(PartOutcome::Done(reply)),
+                Some(Ok(AppliedOutcome::Blocked)) => Ok(PartOutcome::Blocked),
+                Some(Err(err)) => Err(err.into()),
             };
-            let mut replica = slot.replica.lock();
-            if slot.withdrawn.load(Ordering::Relaxed) {
-                // A hand-off serialized this replica's state while we were
-                // waiting for the lock; applying now would lose the write.
-                return Ok(PartOutcome::Stale);
-            }
-            match kind {
-                OpKind::Read => slot.access.record_read(),
-                OpKind::Write => slot.access.record_write(),
-            }
-            if let Some(stamp) = stamp {
-                if let Some(reply) = slot.dedup.lock().lookup(stamp) {
-                    return Ok(PartOutcome::Done(reply.to_vec()));
-                }
-            }
-            match replica.apply_encoded(op)? {
-                AppliedOutcome::Done(reply) => {
-                    if kind == OpKind::Write {
-                        let stamped = stamp.map(|s| (s, reply.clone()));
-                        if let Some((stamp, reply)) = &stamped {
-                            slot.dedup.lock().record(*stamp, reply.clone());
-                        }
-                        ship_backup(
-                            &self.inner,
-                            object,
-                            partition,
-                            &slot,
-                            &**replica,
-                            op,
-                            stamped,
-                        );
-                    }
-                    Ok(PartOutcome::Done(reply))
-                }
-                AppliedOutcome::Blocked => Ok(PartOutcome::Blocked),
-            }
-        } else {
-            let msg = ShardMsg::Op {
-                shard: part(object, partition),
-                op: op.to_vec(),
-                trace: trace::current(),
-                stamp,
-            };
-            match self.rpc(owner, &msg, deadline)? {
-                ShardReply::Done(reply) => Ok(PartOutcome::Done(reply)),
-                ShardReply::Blocked => Ok(PartOutcome::Blocked),
-                ShardReply::StaleRoute => Ok(PartOutcome::Stale),
-                ShardReply::Error(msg) => Err(RtsError::Communication(msg)),
-                other => Err(RtsError::Communication(format!(
-                    "unexpected Op reply {other:?}"
-                ))),
-            }
+        }
+        let msg = ShardMsg::Op {
+            shard: part(object, partition),
+            op: op.to_vec(),
+            trace: trace::current(),
+            stamp,
+        };
+        match self.rpc(owner, &msg, deadline)? {
+            ShardReply::Done(reply) => Ok(PartOutcome::Done(reply)),
+            ShardReply::Blocked => Ok(PartOutcome::Blocked),
+            ShardReply::StaleRoute => Ok(PartOutcome::Stale),
+            ShardReply::Error(msg) => Err(RtsError::Communication(msg)),
+            other => Err(RtsError::Communication(format!(
+                "unexpected Op reply {other:?}"
+            ))),
         }
     }
 
@@ -681,7 +617,6 @@ impl ShardedRts {
         table: &ShardRouteTable,
         logic: &dyn ShardLogic,
         op: &[u8],
-        kind: OpKind,
         stamp: Option<OpStamp>,
         deadline: Instant,
         progress: &mut Vec<Option<Vec<u8>>>,
@@ -693,7 +628,7 @@ impl ShardedRts {
                 continue;
             }
             let part_op = logic.op_for(op, partition, parts)?;
-            match self.partition_op(table, partition, &part_op, kind, stamp, deadline)? {
+            match self.partition_op(table, partition, &part_op, stamp, deadline)? {
                 PartOutcome::Done(reply) => progress[partition as usize] = Some(reply),
                 PartOutcome::Blocked => return Ok(PartOutcome::Blocked),
                 PartOutcome::Stale => return Ok(PartOutcome::Stale),
@@ -711,7 +646,6 @@ impl ShardedRts {
         table: &ShardRouteTable,
         logic: &dyn ShardLogic,
         op: &[u8],
-        kind: OpKind,
         stamp: Option<OpStamp>,
         deadline: Instant,
     ) -> Result<PartOutcome, RtsError> {
@@ -724,7 +658,7 @@ impl ShardedRts {
         for step in 0..parts {
             let partition = ((start + u64::from(step)) % u64::from(parts)) as u32;
             let part_op = logic.op_for(op, partition, parts)?;
-            match self.partition_op(table, partition, &part_op, kind, stamp, deadline)? {
+            match self.partition_op(table, partition, &part_op, stamp, deadline)? {
                 PartOutcome::Done(reply) => {
                     if logic.accepts(op, &reply)? {
                         return Ok(PartOutcome::Done(reply));
@@ -747,38 +681,7 @@ impl ShardedRts {
     /// Set the batching knobs of the asynchronous invocation path (takes
     /// effect from the next flusher round).
     pub fn set_batch_policy(&self, policy: BatchPolicy) {
-        *self.inner.batch_policy.lock() = policy;
-    }
-
-    /// A clone of this handle whose `pipeline` cell is fresh and empty, for
-    /// capture by the flusher and retry closures: capturing `self` directly
-    /// would create an `Arc` cycle (pipeline → closure → handle →
-    /// pipeline) and leak the runtime system.
-    fn detached(&self) -> ShardedRts {
-        ShardedRts {
-            inner: Arc::clone(&self.inner),
-            server: Arc::clone(&self.server),
-            backup_server: Arc::clone(&self.backup_server),
-            pipeline: Arc::new(Mutex::new(None)),
-        }
-    }
-
-    /// The asynchronous-invocation pipeline, started on first use.
-    fn ensure_pipeline(&self) -> Arc<Pipeline> {
-        let mut guard = self.pipeline.lock();
-        if let Some(pipeline) = guard.as_ref() {
-            return Arc::clone(pipeline);
-        }
-        let rts = self.detached();
-        let pipeline = Arc::new(Pipeline::start(
-            format!("rts-pipe-{}", self.inner.node),
-            self.inner.node.0,
-            Arc::clone(self.inner.handle.telemetry()),
-            Arc::clone(&self.inner.batch_policy),
-            move |ops| rts.run_round(ops),
-        ));
-        *guard = Some(Arc::clone(&pipeline));
-        pipeline
+        self.pipeline.set_policy(policy);
     }
 
     /// Execute one flusher round: partition-narrowed (`One`-routed)
@@ -883,7 +786,6 @@ impl ShardedRts {
                                 &table,
                                 logic.as_ref(),
                                 &op.op,
-                                op.kind,
                                 None,
                                 deadline,
                             ) {
@@ -1012,7 +914,7 @@ impl ShardedRts {
         if !table.sharded {
             let route = ShardRoute::One(0);
             self.record_invocation(&table, &route, kind);
-            return self.partition_op(&table, 0, op, kind, stamp, deadline);
+            return self.partition_op(&table, 0, op, stamp, deadline);
         }
         let logic = self
             .inner
@@ -1024,20 +926,12 @@ impl ShardedRts {
         match route {
             ShardRoute::One(partition) => {
                 let part_op = logic.op_for(op, partition, table.partitions())?;
-                self.partition_op(&table, partition, &part_op, kind, stamp, deadline)
+                self.partition_op(&table, partition, &part_op, stamp, deadline)
             }
-            ShardRoute::All => self.all_partitions_op(
-                &table,
-                logic.as_ref(),
-                op,
-                kind,
-                stamp,
-                deadline,
-                all_progress,
-            ),
-            ShardRoute::Any => {
-                self.any_partition_op(&table, logic.as_ref(), op, kind, stamp, deadline)
+            ShardRoute::All => {
+                self.all_partitions_op(&table, logic.as_ref(), op, stamp, deadline, all_progress)
             }
+            ShardRoute::Any => self.any_partition_op(&table, logic.as_ref(), op, stamp, deadline),
         }
     }
 }
@@ -1071,11 +965,8 @@ impl RuntimeSystem for ShardedRts {
             let owner = NodeId(owners[partition as usize]);
             if owner == self.inner.node {
                 let replica = self.inner.registry.instantiate(type_name, state)?;
-                let slot = PartitionSlot::new(replica);
-                {
-                    let replica = slot.replica.lock();
-                    ship_backup_state(&self.inner, id, partition, &slot, &**replica);
-                }
+                let slot = PartitionSlot::new(replica, 0, DedupWindow::new());
+                ship_backup_state(&self.inner, part(id, partition), &slot, &slot.core.lock());
                 self.inner.owned.write().insert((id, partition), slot);
             } else {
                 let msg = ShardMsg::Install {
@@ -1194,35 +1085,13 @@ impl RuntimeSystem for ShardedRts {
         if kind == OpKind::Write {
             RtsStats::bump(&self.inner.stats.writes);
         }
-        let pipeline = self.ensure_pipeline();
-        let trace = trace::current();
-        // A guard-blocked op re-enters this same queue from wait(), so its
-        // re-execution keeps issue order instead of jumping ahead through
-        // the synchronous path.
-        let resubmit = {
-            let pipeline = Arc::clone(&pipeline);
-            let op = op.to_vec();
-            Arc::new(move |completer| {
-                pipeline.submit(QueuedOp {
-                    object,
-                    kind,
-                    op: op.clone(),
-                    trace,
-                    submitted: Instant::now(),
-                    completer,
-                })
-            })
-        };
-        let (handle, completer) = pending_pair(resubmit);
-        pipeline.submit(QueuedOp {
-            object,
-            kind,
-            op: op.to_vec(),
-            trace,
-            submitted: Instant::now(),
-            completer,
-        });
-        handle
+        self.pipeline.submit(object, kind, op, |pipeline| {
+            let rts = ShardedRts {
+                pipeline,
+                ..self.clone()
+            };
+            move |ops| rts.run_round(ops)
+        })
     }
 
     fn stats(&self) -> RtsStatsSnapshot {
@@ -1292,17 +1161,8 @@ fn dispatch(inner: &Arc<Inner>, msg: ShardMsg, caller: NodeId) -> ShardReply {
             dedup,
         } => match inner.registry.instantiate(&type_name, &state) {
             Ok(replica) => {
-                let slot = PartitionSlot::with_parts(replica, version, dedup);
-                {
-                    let replica = slot.replica.lock();
-                    ship_backup_state(
-                        inner,
-                        part_object(&shard),
-                        shard.partition,
-                        &slot,
-                        &**replica,
-                    );
-                }
+                let slot = PartitionSlot::new(replica, version, dedup);
+                ship_backup_state(inner, shard, &slot, &slot.core.lock());
                 inner
                     .owned
                     .write()
@@ -1369,17 +1229,16 @@ fn apply_partition_run(inner: &Arc<Inner>, run: &[BatchOp], _caller: NodeId) -> 
     let Some(slot) = slot else {
         return run.iter().map(|_| BatchOutcome::Stale).collect();
     };
-    let mut replica = slot.replica.lock();
-    if slot.withdrawn.load(Ordering::Relaxed) {
+    let Some(mut state) = slot.core.lock_live() else {
         // A hand-off serialized this replica's state while we were waiting
         // for the lock; applying now would lose the writes.
         return run.iter().map(|_| BatchOutcome::Stale).collect();
-    }
+    };
     let mut outcomes = Vec::with_capacity(run.len());
     let mut applied: Vec<Vec<u8>> = Vec::new();
     let mut first_version = 0;
     for op in run {
-        let kind = match replica.op_kind(&op.op) {
+        let kind = match state.replica.op_kind(&op.op) {
             Ok(kind) => kind,
             Err(err) => {
                 outcomes.push(BatchOutcome::Failed(err.to_string()));
@@ -1387,15 +1246,15 @@ fn apply_partition_run(inner: &Arc<Inner>, run: &[BatchOp], _caller: NodeId) -> 
             }
         };
         match kind {
-            OpKind::Read => slot.access.record_read(),
-            OpKind::Write => slot.access.record_write(),
+            OpKind::Read => slot.core.access.record_read(),
+            OpKind::Write => slot.core.access.record_write(),
         }
         RtsStats::bump(&inner.stats.batch_ops_applied);
-        match replica.apply_encoded(&op.op) {
+        match state.replica.apply_encoded(&op.op) {
             Ok(AppliedOutcome::Done(reply)) => {
                 if kind == OpKind::Write {
                     if applied.is_empty() {
-                        first_version = slot.version_base + replica.version();
+                        first_version = slot.version(&state);
                     }
                     applied.push(op.op.clone());
                 }
@@ -1408,58 +1267,41 @@ fn apply_partition_run(inner: &Arc<Inner>, run: &[BatchOp], _caller: NodeId) -> 
     if !applied.is_empty() {
         // Still under the replica mutex, before any ack leaves this node:
         // the batched form of the synchronous `ship_backup` discipline.
-        ship_backup_batch(
-            inner,
-            key.0,
-            key.1,
-            &slot,
-            &**replica,
-            applied,
+        let shard = part(key.0, key.1);
+        ship_backup(inner, shard, &slot, &state, || ShardMsg::BackupBatch {
+            shard,
+            ops: applied,
             first_version,
-        );
+        });
     }
     outcomes
 }
 
-/// Ship a run of completed writes to the partition's backup node as one
-/// message. A backup that lost sync is reinstalled from full state; an
-/// unreachable backup node is skipped (the next write re-targets the
-/// then-next live node), exactly like the single-op path.
-fn ship_backup_batch(
+/// Execute an operation on a locally-owned partition; `None` when this
+/// node does not own the partition (any more). A completed write ships to
+/// the backup before it is acknowledged.
+fn execute_local(
     inner: &Arc<Inner>,
     object: ObjectId,
     partition: u32,
-    slot: &PartitionSlot,
-    replica: &dyn AnyReplica,
-    ops: Vec<Vec<u8>>,
-    first_version: u64,
-) {
-    if !inner.recovery.enabled {
-        return;
-    }
-    let Some(target) = backup_target(inner, inner.node) else {
-        return;
-    };
-    let shard = part(object, partition);
-    let msg = ShardMsg::BackupBatch {
-        shard,
-        ops,
-        first_version,
-    };
-    match backup_rpc(inner, target, &msg) {
-        Ok(ShardReply::Ack) => {}
-        Ok(_) => {
-            let install = ShardMsg::InstallBackup {
+    op: &[u8],
+    stamp: Option<OpStamp>,
+) -> Option<Result<AppliedOutcome, ObjectError>> {
+    let slot = inner.owned.read().get(&(object, partition)).cloned()?;
+    slot.core.execute(
+        op,
+        stamp,
+        || {},
+        |state, stamped| {
+            let shard = part(object, partition);
+            ship_backup(inner, shard, &slot, state, || ShardMsg::Backup {
                 shard,
-                type_name: replica.type_name().to_string(),
-                state: replica.state_bytes(),
-                version: slot.version_base + replica.version(),
-                dedup: slot.dedup.lock().clone(),
-            };
-            let _ = backup_rpc(inner, target, &install);
-        }
-        Err(_) => {}
-    }
+                op: op.to_vec(),
+                version: slot.version(state),
+                stamped,
+            })
+        },
+    )
 }
 
 /// Execute an owner-shipped operation on a locally-owned partition.
@@ -1470,49 +1312,18 @@ fn serve_op(
     stamp: Option<OpStamp>,
     caller: NodeId,
 ) -> ShardReply {
-    let key = (part_object(shard), shard.partition);
-    let slot = inner.owned.read().get(&key).cloned();
-    let Some(slot) = slot else {
-        return ShardReply::StaleRoute;
-    };
-    let mut replica = slot.replica.lock();
-    if slot.withdrawn.load(Ordering::Relaxed) {
-        // A hand-off serialized this replica's state while we were waiting
-        // for the lock; applying now would lose the write.
-        return ShardReply::StaleRoute;
-    }
-    let kind = match replica.op_kind(op) {
-        Ok(kind) => kind,
-        Err(err) => return ShardReply::Error(err.to_string()),
-    };
-    match kind {
-        OpKind::Read => slot.access.record_read(),
-        OpKind::Write => slot.access.record_write(),
-    }
-    if let Some(stamp) = stamp {
-        if let Some(reply) = slot.dedup.lock().lookup(stamp) {
-            // A retry of a write this partition already applied (possibly
-            // on the backup this replica was promoted from): answer the
-            // original reply instead of applying twice.
-            return ShardReply::Done(reply.to_vec());
-        }
-    }
-    match replica.apply_encoded(op) {
-        Ok(AppliedOutcome::Done(reply)) => {
+    match execute_local(inner, part_object(shard), shard.partition, op, stamp) {
+        // Migrated away, or withdrawn by a hand-off while we waited for the
+        // lock: applying now would lose the write.
+        None => ShardReply::StaleRoute,
+        Some(Ok(AppliedOutcome::Done(reply))) => {
             if caller != inner.node {
                 RtsStats::bump(&inner.stats.updates_applied);
             }
-            if kind == OpKind::Write {
-                let stamped = stamp.map(|s| (s, reply.clone()));
-                if let Some((stamp, reply)) = &stamped {
-                    slot.dedup.lock().record(*stamp, reply.clone());
-                }
-                ship_backup(inner, key.0, key.1, &slot, &**replica, op, stamped);
-            }
             ShardReply::Done(reply)
         }
-        Ok(AppliedOutcome::Blocked) => ShardReply::Blocked,
-        Err(err) => ShardReply::Error(err.to_string()),
+        Some(Ok(AppliedOutcome::Blocked)) => ShardReply::Blocked,
+        Some(Err(err)) => ShardReply::Error(err.to_string()),
     }
 }
 
@@ -1580,27 +1391,16 @@ fn hand_off(inner: &Arc<Inner>, shard: &ShardPartId, dst: u16) -> ShardReply {
         inner.owned.write().insert(key, slot);
         return ShardReply::Ack;
     }
-    let (type_name, state, version, dedup) = {
-        // Mark the slot withdrawn in the same critical section that
-        // snapshots the state: an operation that cloned the slot out of
-        // `owned` before the removal above will acquire this mutex later,
-        // see the flag and answer StaleRoute instead of applying to (and
-        // being acknowledged against) the orphaned replica.
-        let replica = slot.replica.lock();
-        slot.withdrawn.store(true, Ordering::Relaxed);
-        (
-            replica.type_name().to_string(),
-            replica.state_bytes(),
-            slot.version_base + replica.version(),
-            slot.dedup.lock().clone(),
-        )
-    };
+    // An operation that cloned the slot out of `owned` before the removal
+    // above sees the withdrawn mark and answers StaleRoute instead of being
+    // acknowledged against the orphaned replica.
+    let drained = slot.core.drain();
     let install = ShardMsg::Install {
         shard: *shard,
-        type_name,
-        state,
-        version,
-        dedup,
+        type_name: drained.type_name,
+        state: drained.state,
+        version: slot.version_base + drained.version,
+        dedup: drained.dedup,
     };
     match shard_rpc(inner, NodeId(dst), &install) {
         Ok(ShardReply::Ack) => {
@@ -1618,13 +1418,9 @@ fn hand_off(inner: &Arc<Inner>, shard: &ShardPartId, dst: u16) -> ShardReply {
     }
 }
 
-/// Put a partition back after a failed transfer, clearing the withdrawn
-/// mark (under the replica mutex) so operations are served again.
+/// Put a partition back after a failed transfer, serving operations again.
 fn restore_slot(inner: &Arc<Inner>, key: (ObjectId, u32), slot: Arc<PartitionSlot>) {
-    {
-        let _replica = slot.replica.lock();
-        slot.withdrawn.store(false, Ordering::Relaxed);
-    }
+    slot.core.restore();
     inner.owned.write().insert(key, slot);
 }
 
@@ -1671,20 +1467,20 @@ fn dispatch_backup(inner: &Arc<Inner>, msg: ShardMsg, _caller: NodeId) -> ShardR
             let Some(slot) = slot else {
                 return ShardReply::StaleRoute; // owner reinstalls the backup
             };
-            let mut replica = slot.replica.lock();
+            let mut state = slot.state.lock();
             if slot.version.load(Ordering::Relaxed) + 1 != version {
                 // An update went missing (or this backup predates a
                 // promotion): resync from a full state reinstall.
                 return ShardReply::StaleRoute;
             }
-            match replica.apply_encoded(&op) {
+            match state.replica.apply_encoded(&op) {
                 Ok(AppliedOutcome::Done(_)) => {
                     slot.version.store(version, Ordering::Relaxed);
                     if let Some((stamp, reply)) = stamped {
                         // Keep the window as fresh as the replica: if this
                         // backup is promoted, it answers retries of this
                         // write from here.
-                        slot.dedup.lock().record(stamp, reply);
+                        state.dedup.record(stamp, reply);
                     }
                     RtsStats::bump(&inner.stats.updates_applied);
                     ShardReply::Ack
@@ -1708,7 +1504,7 @@ fn dispatch_backup(inner: &Arc<Inner>, msg: ShardMsg, _caller: NodeId) -> ShardR
             let Some(slot) = slot else {
                 return ShardReply::StaleRoute; // owner reinstalls the backup
             };
-            let mut replica = slot.replica.lock();
+            let mut state = slot.state.lock();
             let current = slot.version.load(Ordering::Relaxed);
             let last_version = first_version + ops.len() as u64 - 1;
             if first_version > current + 1 {
@@ -1723,7 +1519,7 @@ fn dispatch_backup(inner: &Arc<Inner>, msg: ShardMsg, _caller: NodeId) -> ShardR
             RtsStats::bump(&inner.stats.updates_applied);
             let start = (current + 1 - first_version) as usize;
             for op in &ops[start..] {
-                match replica.apply_encoded(op) {
+                match state.replica.apply_encoded(op) {
                     Ok(AppliedOutcome::Done(_)) => {
                         slot.version.fetch_add(1, Ordering::Relaxed);
                         RtsStats::bump(&inner.stats.batch_ops_applied);
@@ -1747,9 +1543,8 @@ fn dispatch_backup(inner: &Arc<Inner>, msg: ShardMsg, _caller: NodeId) -> ShardR
                 inner.backups.write().insert(
                     (part_object(&shard), shard.partition),
                     Arc::new(BackupSlot {
-                        replica: Mutex::new(replica),
+                        state: Mutex::new(SlotState { replica, dedup }),
                         version: AtomicU64::new(version),
-                        dedup: Mutex::new(dedup),
                     }),
                 );
                 ShardReply::Ack
@@ -1763,29 +1558,29 @@ fn dispatch_backup(inner: &Arc<Inner>, msg: ShardMsg, _caller: NodeId) -> ShardR
                 return ShardReply::StaleRoute;
             };
             let version = backup.version.load(Ordering::Relaxed);
-            let (replica, dedup) = match Arc::try_unwrap(backup) {
-                Ok(backup) => (backup.replica.into_inner(), backup.dedup.into_inner()),
+            let SlotState { replica, dedup } = match Arc::try_unwrap(backup) {
+                Ok(backup) => backup.state.into_inner(),
                 Err(shared) => {
                     // Someone still holds the backup slot (a concurrent
                     // Backup RPC); rebuild the replica from its state.
-                    let guard = shared.replica.lock();
-                    let dedup = shared.dedup.lock().clone();
+                    let state = shared.state.lock();
+                    let replica = &state.replica;
                     match inner
                         .registry
-                        .instantiate(guard.type_name(), &guard.state_bytes())
+                        .instantiate(replica.type_name(), &replica.state_bytes())
                     {
-                        Ok(replica) => (replica, dedup),
+                        Ok(replica) => SlotState {
+                            replica,
+                            dedup: state.dedup.clone(),
+                        },
                         Err(err) => return ShardReply::Error(err.to_string()),
                     }
                 }
             };
-            let slot = PartitionSlot::with_parts(replica, version, dedup);
-            {
-                // Re-establish a backup for the promoted partition on the
-                // next live node before serving any write.
-                let replica = slot.replica.lock();
-                ship_backup_state(inner, key.0, key.1, &slot, &**replica);
-            }
+            let slot = PartitionSlot::new(replica, version, dedup);
+            // Re-establish a backup for the promoted partition on the next
+            // live node before serving any write.
+            ship_backup_state(inner, shard, &slot, &slot.core.lock());
             inner.owned.write().insert(key, slot);
             ShardReply::Ack
         }
@@ -1803,9 +1598,9 @@ fn report_owned(inner: &Arc<Inner>, object: ObjectId) -> ShardReply {
             .iter()
             .filter(|((obj, _), _)| *obj == object)
             .map(|((_, partition), slot)| {
-                let replica = slot.replica.lock();
-                type_name = replica.type_name().to_string();
-                (*partition, slot.version_base + replica.version())
+                let state = slot.core.lock();
+                type_name = state.replica.type_name().to_string();
+                (*partition, slot.version(&state))
             })
             .collect()
     };
@@ -1816,7 +1611,7 @@ fn report_owned(inner: &Arc<Inner>, object: ObjectId) -> ShardReply {
             .filter(|((obj, _), _)| *obj == object)
             .map(|((_, partition), slot)| {
                 if type_name.is_empty() {
-                    type_name = slot.replica.lock().type_name().to_string();
+                    type_name = slot.state.lock().replica.type_name().to_string();
                 }
                 (*partition, slot.version.load(Ordering::Relaxed))
             })
@@ -1858,49 +1653,24 @@ fn backup_rpc(inner: &Arc<Inner>, dst: NodeId, msg: &ShardMsg) -> Result<ShardRe
         .map_err(|err| RtsError::Communication(format!("bad reply: {err}")))
 }
 
-/// Ship one completed write to the partition's backup node, synchronously
-/// (the caller still holds the owner replica's mutex, so the backup sees
-/// writes in execution order and the write is not acknowledged until its
-/// backup exists). A backup that lost sync is reinstalled from full state;
-/// an unreachable backup node is skipped — the next write re-targets the
-/// then-next live node.
-#[allow(clippy::too_many_arguments)]
+/// Ship completed writes to the partition's backup node: `writes` builds
+/// the message, for one write or a run of them. The caller still holds the
+/// owner replica's mutex, so the backup sees writes in execution order and
+/// none is acknowledged before its backup exists. A backup that lost sync is
+/// reinstalled from full state; an unreachable backup node is skipped — the
+/// next write re-targets the then-next live node.
 fn ship_backup(
     inner: &Arc<Inner>,
-    object: ObjectId,
-    partition: u32,
+    shard: ShardPartId,
     slot: &PartitionSlot,
-    replica: &dyn AnyReplica,
-    op: &[u8],
-    stamped: Option<(OpStamp, Vec<u8>)>,
+    state: &SlotState,
+    writes: impl FnOnce() -> ShardMsg,
 ) {
-    if !inner.recovery.enabled {
-        return;
-    }
     let Some(target) = backup_target(inner, inner.node) else {
         return;
     };
-    let shard = part(object, partition);
-    let version = slot.version_base + replica.version();
-    let msg = ShardMsg::Backup {
-        shard,
-        op: op.to_vec(),
-        version,
-        stamped,
-    };
-    match backup_rpc(inner, target, &msg) {
-        Ok(ShardReply::Ack) => {}
-        Ok(_) => {
-            let install = ShardMsg::InstallBackup {
-                shard,
-                type_name: replica.type_name().to_string(),
-                state: replica.state_bytes(),
-                version,
-                dedup: slot.dedup.lock().clone(),
-            };
-            let _ = backup_rpc(inner, target, &install);
-        }
-        Err(_) => {}
+    if backup_rpc(inner, target, &writes()).is_ok_and(|reply| !matches!(reply, ShardReply::Ack)) {
+        let _ = backup_rpc(inner, target, &install_backup(shard, slot, state));
     }
 }
 
@@ -1908,25 +1678,24 @@ fn ship_backup(
 /// on its backup node.
 fn ship_backup_state(
     inner: &Arc<Inner>,
-    object: ObjectId,
-    partition: u32,
+    shard: ShardPartId,
     slot: &PartitionSlot,
-    replica: &dyn AnyReplica,
+    state: &SlotState,
 ) {
-    if !inner.recovery.enabled {
-        return;
+    if let Some(target) = backup_target(inner, inner.node) {
+        let _ = backup_rpc(inner, target, &install_backup(shard, slot, state));
     }
-    let Some(target) = backup_target(inner, inner.node) else {
-        return;
-    };
-    let install = ShardMsg::InstallBackup {
-        shard: part(object, partition),
-        type_name: replica.type_name().to_string(),
-        state: replica.state_bytes(),
-        version: slot.version_base + replica.version(),
-        dedup: slot.dedup.lock().clone(),
-    };
-    let _ = backup_rpc(inner, target, &install);
+}
+
+/// The full-state backup install of a locally-owned partition.
+fn install_backup(shard: ShardPartId, slot: &PartitionSlot, state: &SlotState) -> ShardMsg {
+    ShardMsg::InstallBackup {
+        shard,
+        type_name: state.replica.type_name().to_string(),
+        state: state.replica.state_bytes(),
+        version: slot.version(state),
+        dedup: state.dedup.clone(),
+    }
 }
 
 /// Home-side partition recovery, run on every view change for the objects
